@@ -104,7 +104,10 @@ pub trait Backend: Send {
     /// Account for host-side computation between launches.
     fn host_compute(&mut self, what: &str, us: f64);
 
-    /// An explicit host synchronisation (stream sync).
+    /// An explicit host synchronisation (stream sync). On [`Gpu`](crate::Gpu)
+    /// it also opens a synchronised readback: the device→host copies
+    /// that follow it directly pay no sync of their own and share one
+    /// fault draw ([`BackendExt::try_dtoh_pair`]).
     fn host_sync(&mut self);
 
     /// Zero the clock and clear timeline/report history.
@@ -290,8 +293,21 @@ pub trait BackendExt: Backend {
         label: &str,
         data: &[T],
     ) -> Result<DeviceBuffer<T>, SimError> {
-        let buf = self.try_alloc::<T>(label, data.len())?;
-        for (i, &v) in data.iter().enumerate() {
+        self.try_htod_rows(label, &[data])
+    }
+
+    /// Fallible upload of several host slices, back to back, into one
+    /// fresh contiguous buffer with one host→device copy. Each slice is
+    /// written straight into the device buffer, so no host staging copy
+    /// is made. A failed copy releases the buffer.
+    fn try_htod_rows<T: DeviceScalar>(
+        &mut self,
+        label: &str,
+        rows: &[&[T]],
+    ) -> Result<DeviceBuffer<T>, SimError> {
+        let len = rows.iter().map(|r| r.len()).sum();
+        let buf = self.try_alloc::<T>(label, len)?;
+        for (i, &v) in rows.iter().flat_map(|r| r.iter()).enumerate() {
             buf.set(i, v);
         }
         match self.charge_htod(label, buf.size_bytes(), true) {
@@ -365,6 +381,23 @@ pub trait BackendExt: Backend {
         let token = buf.sanitizer_token();
         self.charge_dtoh(buf.label(), len * T::BYTES, true, token.as_ref())?;
         Ok((offset..offset + len).map(|i| buf.get(i)).collect())
+    }
+
+    /// Fallible readback of two buffers under one host synchronisation
+    /// (a value/index output pair): one explicit [`Backend::host_sync`],
+    /// then one device→host copy per buffer. On [`Gpu`](crate::Gpu) the
+    /// copies pay no sync of their own and share one fault draw; each
+    /// buffer keeps its own use-after-free check. A corrupted readback
+    /// fails as a whole.
+    fn try_dtoh_pair<A: DeviceScalar, B: DeviceScalar>(
+        &mut self,
+        a: &DeviceBuffer<A>,
+        b: &DeviceBuffer<B>,
+    ) -> Result<(Vec<A>, Vec<B>), SimError> {
+        self.host_sync();
+        let a = self.try_dtoh(a)?;
+        let b = self.try_dtoh(b)?;
+        Ok((a, b))
     }
 
     /// Fallible kernel launch; see [`Backend::launch_dyn`].

@@ -72,6 +72,21 @@ pub fn check_transfer_roundtrip(dev: &mut dyn Backend) {
         "ranged readback must honour offsets"
     );
 
+    // Several host rows into one contiguous buffer, read back with a
+    // second buffer under one synchronisation.
+    let rows = dev
+        .try_htod_rows("conformance-rows", &[&data[..100], &data[100..]])
+        .unwrap();
+    assert_eq!(
+        dev.mem_allocated(),
+        base + 2 * data.len() * 4,
+        "a row upload charges one allocation for every row"
+    );
+    let (rows_back, back) = dev.try_dtoh_pair(&rows, &buf).unwrap();
+    assert_eq!(rows_back, data, "rows land back to back");
+    assert_eq!(back, data, "a paired readback returns both buffers");
+
+    dev.free(&rows);
     dev.free(&buf);
     assert_eq!(dev.mem_allocated(), base, "free must return every byte");
 }

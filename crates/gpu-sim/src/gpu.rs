@@ -65,6 +65,20 @@ pub struct Gpu {
     current_span: u64,
     injector: Option<FaultInjector>,
     sanitizer: Option<Sanitizer>,
+    readback: Option<ReadbackWindow>,
+}
+
+/// A synchronised readback: the device-to-host copies issued straight
+/// after an explicit [`Gpu::host_sync`], before anything else reaches
+/// the timeline. The stream is already drained, so they pay no sync of
+/// their own, and they share one transfer-fault draw.
+#[derive(Debug, Clone, Copy)]
+struct ReadbackWindow {
+    /// Timeline length while the window is open; any other event
+    /// closes it.
+    events: usize,
+    /// The window's fault draw, once its first copy made it.
+    fault: Option<Option<FaultKind>>,
 }
 
 impl Gpu {
@@ -87,6 +101,7 @@ impl Gpu {
             current_span: 0,
             injector: None,
             sanitizer: None,
+            readback: None,
         }
     }
 
@@ -211,6 +226,7 @@ impl Gpu {
         self.clock_us = 0.0;
         self.timeline.clear();
         self.reports.clear();
+        self.readback = None;
     }
 
     // ---- memory ------------------------------------------------------
@@ -544,11 +560,19 @@ impl Gpu {
         self.clock_us += us;
     }
 
-    /// An explicit host synchronisation (stream sync).
+    /// An explicit host synchronisation (stream sync). It opens a
+    /// synchronised readback: device-to-host copies issued next, before
+    /// any other timeline event, ride this sync instead of paying their
+    /// own and share one transfer-fault draw (see
+    /// [`BackendExt::try_dtoh_pair`]).
     pub fn host_sync(&mut self) {
         let t = self.spec.host_sync_us;
         self.timeline.push(EventKind::HostSync, self.clock_us, t);
         self.clock_us += t;
+        self.readback = Some(ReadbackWindow {
+            events: self.timeline.events().len(),
+            fault: None,
+        });
     }
 }
 
@@ -664,14 +688,24 @@ impl Backend for Gpu {
                 san.record_host_uaf(label, "device-to-host readback");
             }
         }
-        let sync = self.spec.host_sync_us;
-        self.timeline.push(EventKind::HostSync, self.clock_us, sync);
-        self.clock_us += sync;
+        // A copy outside a synchronised readback blocks on the stream
+        // first; inside one, the explicit sync was already paid.
+        let window = self
+            .readback
+            .filter(|w| w.events == self.timeline.events().len());
+        if window.is_none() {
+            let sync = self.spec.host_sync_us;
+            self.timeline.push(EventKind::HostSync, self.clock_us, sync);
+            self.clock_us += sync;
+        }
         let mut t = memcpy_cost(&self.spec, bytes);
-        let fault = self
-            .injector
-            .as_mut()
-            .and_then(|inj| inj.on_transfer(label, self.clock_us));
+        let fault = match window.and_then(|w| w.fault) {
+            Some(drawn) => drawn,
+            None => self
+                .injector
+                .as_mut()
+                .and_then(|inj| inj.on_transfer(label, self.clock_us)),
+        };
         let corrupted = fault == Some(FaultKind::TransferCorruption);
         if fault == Some(FaultKind::TransferStall) || (corrupted && !fallible) {
             t *= self
@@ -682,6 +716,12 @@ impl Backend for Gpu {
         }
         self.timeline.push(EventKind::MemcpyDtoH, self.clock_us, t);
         self.clock_us += t;
+        if window.is_some() {
+            self.readback = Some(ReadbackWindow {
+                events: self.timeline.events().len(),
+                fault: Some(fault),
+            });
+        }
         if corrupted && fallible {
             return Err(SimError::TransferCorruption { bytes });
         }
@@ -1065,6 +1105,100 @@ mod tests {
         assert_eq!(g.mem_allocated(), 0, "corrupted upload must not leak");
         // Next transfer is clean.
         assert!(g.try_htod("in", &[0u32; 64]).is_ok());
+    }
+
+    #[test]
+    fn try_htod_rows_is_one_contiguous_upload() {
+        let mut g = gpu();
+        let (a, b) = ([1u32, 2, 3], [4u32, 5, 6]);
+        let buf = g.try_htod_rows("rows", &[&a, &b]).unwrap();
+        assert_eq!(buf.to_vec(), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(g.mem_allocated(), 24);
+        let copies = g.timeline().events().iter();
+        assert_eq!(
+            copies
+                .filter(|e| matches!(e.kind, EventKind::MemcpyHtoD))
+                .count(),
+            1
+        );
+        g.free(&buf);
+    }
+
+    fn kinds(g: &Gpu) -> Vec<&'static str> {
+        g.timeline()
+            .events()
+            .iter()
+            .map(|e| match e.kind {
+                EventKind::HostSync => "sync",
+                EventKind::MemcpyDtoH => "d2h",
+                EventKind::MemcpyHtoD => "h2d",
+                _ => "other",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn paired_readback_pays_one_sync_and_one_fault_draw() {
+        // Transfers 0 and 1 are the uploads; the pair's single draw is
+        // transfer 2, and it stalls both of the pair's copies.
+        let plan = FaultPlan::seeded(6).with_scripted(ScriptedFault {
+            device: 0,
+            kind: FaultKind::TransferStall,
+            nth: 2,
+        });
+        let mut g = faulty_gpu(plan);
+        let vals = g.htod("vals", &[1.5f32, 2.5]);
+        let idxs = g.htod("idxs", &[7u32, 8]);
+        g.reset_profile();
+        let (v, i) = g.try_dtoh_pair(&vals, &idxs).unwrap();
+        assert_eq!((v, i), (vec![1.5, 2.5], vec![7, 8]));
+        assert_eq!(kinds(&g), ["sync", "d2h", "d2h"]);
+        assert_eq!(g.fault_events().len(), 1, "one draw for the pair");
+        let copy = memcpy_cost(&g.spec, 8) * g.injector.as_ref().unwrap().stall_multiplier();
+        let want = g.spec.host_sync_us + 2.0 * copy;
+        assert!((g.elapsed_us() - want).abs() < 1e-9, "{}", g.elapsed_us());
+        // Any other event closes the window: the next copy pays its
+        // own sync and makes its own draw.
+        g.host_compute("host work", 1.0);
+        let _ = g.try_dtoh(&vals).unwrap();
+        assert_eq!(kinds(&g)[3..], ["other", "sync", "d2h"]);
+        assert_eq!(g.fault_events().len(), 1, "transfer 3 is clean");
+    }
+
+    #[test]
+    fn corrupted_paired_readback_fails_as_a_whole() {
+        let plan = FaultPlan::seeded(7).with_scripted(ScriptedFault {
+            device: 0,
+            kind: FaultKind::TransferCorruption,
+            nth: 0,
+        });
+        let mut g = faulty_gpu(plan);
+        let vals = g.alloc::<f32>("vals", 4);
+        let idxs = g.alloc::<u32>("idxs", 4);
+        assert_eq!(
+            g.try_dtoh_pair(&vals, &idxs),
+            Err(SimError::TransferCorruption { bytes: 16 })
+        );
+        assert_eq!(kinds(&g), ["sync", "d2h"]);
+        assert_eq!(g.fault_events().len(), 1);
+    }
+
+    #[test]
+    fn plain_dtoh_still_syncs_every_copy() {
+        // Back-to-back blocking copies, and a copy after a sync that
+        // something else followed, each pay their own sync as before.
+        let mut g = gpu();
+        let buf = g.htod("x", &[1u32, 2]);
+        g.reset_profile();
+        let _ = g.dtoh(&buf);
+        let _ = g.dtoh(&buf);
+        g.host_sync();
+        g.host_compute("host work", 1.0);
+        let _ = g.dtoh(&buf);
+        assert_eq!(
+            kinds(&g),
+            ["sync", "d2h", "sync", "d2h", "sync", "other", "sync", "d2h"]
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! the sanitizer on or off).
 
 use gpu_sim::sanitizer::Analysis;
-use gpu_sim::{AccessKind, BlockPool, DeviceSpec, Gpu, LaunchConfig, SanitizerMode, SimError};
+use gpu_sim::{
+    AccessKind, BackendExt, BlockPool, DeviceSpec, Gpu, LaunchConfig, SanitizerMode, SimError,
+};
 
 fn gpu_with(mode: SanitizerMode) -> Gpu {
     let mut g = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
@@ -327,4 +329,25 @@ fn sanitizer_never_perturbs_the_cost_model() {
     let off = cost_digest(false);
     let on = cost_digest(true);
     assert_eq!(off, on, "cost digests must be bit-identical");
+}
+
+#[test]
+fn memcheck_flags_freed_buffer_in_a_paired_readback() {
+    // Negative control for the synchronised multi-buffer readback: the
+    // shared sync must not skip the per-buffer use-after-free check.
+    let mut g = gpu_with(SanitizerMode::full());
+    let live = g.alloc::<f32>("live_values", 8);
+    let freed = g.alloc::<u32>("freed_indices", 8);
+    g.free(&freed);
+    let _ = g.try_dtoh_pair(&live, &freed).unwrap();
+    let report = g.sanitizer_report().unwrap();
+    let uaf: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.analysis == Analysis::MemcheckUseAfterFree)
+        .collect();
+    assert_eq!(uaf.len(), 1, "{uaf:?}");
+    assert_eq!(uaf[0].buffer, "freed_indices");
+    assert_eq!(uaf[0].kernel, "<host>");
+    g.free(&live);
 }

@@ -359,7 +359,7 @@ impl QuickSelect {
 mod tests {
     use super::*;
     use datagen::{generate, Distribution};
-    use gpu_sim::{DeviceSpec, Gpu};
+    use gpu_sim::{BlockPool, DeviceSpec, Gpu};
     use topk_core::verify::verify_topk;
 
     fn run_case(data: &[f32], k: usize) {
@@ -420,10 +420,13 @@ mod tests {
         // §2.2: "QuickSelect, in the worst case, can remove only one
         // element per iteration." First-element pivots on ascending
         // input hit exactly that: every iteration strips one element.
+        // The partition keeps the input order only when blocks run in
+        // order, so the device gets a one-worker block pool; with more
+        // workers the next "first" element depends on block timing.
         let n = 6000;
         let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let iterations = |pivot: PivotStrategy| {
-            let mut g = Gpu::new(DeviceSpec::a100());
+            let mut g = Gpu::with_pool(DeviceSpec::a100(), BlockPool::new(1));
             let input = g.htod("in", &data);
             g.reset_profile();
             let out = QuickSelect { pivot }.select(&mut g, &input, 10);

@@ -534,7 +534,15 @@ fn run_tool(cmd: &str, args: &[String]) {
     }
     match cmd {
         "compare" => {
-            tools::compare(&opts);
+            let failed: Vec<String> = tools::compare(&opts)
+                .into_iter()
+                .filter(|r| !r.verified)
+                .map(|r| r.algo)
+                .collect();
+            if !failed.is_empty() {
+                eprintln!("[topk-bench] compare: failed checks: {}", failed.join(", "));
+                std::process::exit(1);
+            }
         }
         "tune-alpha" => {
             tools::tune_alpha(opts.n, opts.k, &[4, 16, 64, 128, 512, 4096], true);

@@ -2,7 +2,7 @@
 
 use datagen::{AnnDataset, AnnKind, Distribution};
 use gpu_sim::{DeviceSpec, Gpu};
-use topk_core::{verify_topk, TopKAlgorithm};
+use topk_core::{measured_recall, verify_topk, TopKAlgorithm};
 
 use crate::report::Row;
 
@@ -43,6 +43,10 @@ pub struct BenchConfig {
     /// Check outputs against the reference (slower; tests already
     /// cover correctness, so the big sweeps leave this off).
     pub verify: bool,
+    /// For an approximate algorithm: the floor its batch-mean
+    /// [`measured_recall`] must clear, checked instead of exact
+    /// verification when `verify` is on.
+    pub recall_floor: Option<f64>,
 }
 
 impl BenchConfig {
@@ -56,6 +60,7 @@ impl BenchConfig {
             batch,
             seed: 0x5eed,
             verify: false,
+            recall_floor: None,
         }
     }
 
@@ -99,16 +104,30 @@ pub fn run_config(alg: &dyn TopKAlgorithm, cfg: &BenchConfig) -> Option<Row> {
 
     let mut verified = true;
     if cfg.verify {
-        for (d, o) in data.iter().zip(&outs) {
-            if let Err(e) = verify_topk(d, cfg.k, &o.values.to_vec(), &o.indices.to_vec()) {
-                eprintln!(
-                    "VERIFICATION FAILED: {} n={} k={} batch={}: {e}",
-                    alg.name(),
-                    cfg.n,
-                    cfg.k,
-                    cfg.batch
-                );
-                verified = false;
+        let what = format!("{} n={} k={} batch={}", alg.name(), cfg.n, cfg.k, cfg.batch);
+        match cfg.recall_floor {
+            None => {
+                for (d, o) in data.iter().zip(&outs) {
+                    if let Err(e) = verify_topk(d, cfg.k, &o.values.to_vec(), &o.indices.to_vec()) {
+                        eprintln!("VERIFICATION FAILED: {what}: {e}");
+                        verified = false;
+                    }
+                }
+            }
+            Some(floor) => {
+                let recall = data
+                    .iter()
+                    .zip(&outs)
+                    .map(|(d, o)| measured_recall(d, cfg.k, &o.values.to_vec()))
+                    .sum::<f64>()
+                    / outs.len() as f64;
+                if recall < floor {
+                    eprintln!(
+                        "VERIFICATION FAILED: {what}: measured recall {recall:.4} \
+                         below the floor {floor:.4}"
+                    );
+                    verified = false;
+                }
             }
         }
     }

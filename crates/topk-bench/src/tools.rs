@@ -10,6 +10,7 @@
 //!   (the paper settled on 128 for the A100; §5).
 
 use datagen::Distribution;
+use topk_core::recall::recall_sd_bound;
 use topk_core::{AirConfig, AirTopK, TopKAlgorithm};
 
 use crate::report::Row;
@@ -55,21 +56,32 @@ fn norm(s: &str) -> String {
 
 /// Run the comparison; returns the measured rows and prints a table.
 pub fn compare(opts: &CompareOpts) -> Vec<Row> {
-    let mut algs: Vec<Box<dyn TopKAlgorithm>> = topk_baselines::all_baselines();
-    algs.push(Box::new(AirTopK::default()));
-    algs.push(Box::new(topk_core::GridSelect::default()));
-    // The approximate rungs, planned for a 0.95 expected recall on the
-    // requested shape. Exact verification is expected to flag them —
-    // pair with `--no-verify` when comparing their speed.
-    algs.push(Box::new(topk_core::BucketedTopK::for_recall(
-        opts.n, opts.k, 0.95,
-    )));
-    algs.push(Box::new(topk_core::TwoStageTopK::for_recall(
-        opts.n, opts.k, 0.95,
-    )));
+    // Exact algorithms are checked with `verify_topk`; the approximate
+    // rungs, planned for an expected recall of at least `APPROX_TARGET`
+    // on the requested shape, against their recall floor.
+    let mut algs: Vec<(Box<dyn TopKAlgorithm>, Option<f64>)> = topk_baselines::all_baselines()
+        .into_iter()
+        .map(|a| (a, None))
+        .collect();
+    algs.push((Box::new(AirTopK::default()), None));
+    algs.push((Box::new(topk_core::GridSelect::default()), None));
+    let bucketed = topk_core::BucketedTopK::for_recall(opts.n, opts.k, APPROX_TARGET);
+    let takes = bucketed.plan(opts.k).takes(opts.k);
+    let floor = recall_floor(bucketed.expected_recall(opts.k), opts.k, &takes, opts.batch);
+    algs.push((Box::new(bucketed), Some(floor)));
+    let two_stage = topk_core::TwoStageTopK::for_recall(opts.n, opts.k, APPROX_TARGET);
+    let plan = two_stage.plan();
+    let takes = vec![plan.k_prime; plan.partitions];
+    let floor = recall_floor(
+        two_stage.expected_recall(opts.k),
+        opts.k,
+        &takes,
+        opts.batch,
+    );
+    algs.push((Box::new(two_stage), Some(floor)));
     if !opts.algos.is_empty() {
         let wanted: Vec<String> = opts.algos.iter().map(|a| norm(a)).collect();
-        algs.retain(|a| wanted.contains(&norm(a.name())));
+        algs.retain(|(a, _)| wanted.contains(&norm(a.name())));
     }
 
     let mut cfg = BenchConfig::new(Workload::Synthetic(opts.dist), opts.n, opts.k, opts.batch);
@@ -87,7 +99,8 @@ pub fn compare(opts: &CompareOpts) -> Vec<Row> {
         "algorithm", "time us", "kernels", "pcie us", "idle us", "MiB moved"
     );
     let mut rows = Vec::new();
-    for alg in &algs {
+    for (alg, floor) in &algs {
+        cfg.recall_floor = *floor;
         match run_config(alg.as_ref(), &cfg) {
             Some(row) => {
                 println!(
@@ -105,6 +118,18 @@ pub fn compare(opts: &CompareOpts) -> Vec<Row> {
         }
     }
     rows
+}
+
+/// Expected recall the approximate rungs are planned for in
+/// [`compare`].
+const APPROX_TARGET: f64 = 0.95;
+
+/// The batch-mean measured recall an approximate answer must clear:
+/// its planned expected recall less three standard errors of a mean
+/// over `batch` problems, each problem's standard deviation bounded by
+/// [`recall_sd_bound`] for the plan's per-part keep counts `takes`.
+fn recall_floor(expected: f64, k: usize, takes: &[usize], batch: usize) -> f64 {
+    expected - 3.0 * recall_sd_bound(k, takes) / (batch as f64).sqrt()
 }
 
 /// One α sweep point.
@@ -258,13 +283,30 @@ mod tests {
         let opts = CompareOpts {
             n: 10_000,
             k: 32,
-            verify: false,
+            verify: true,
             ..CompareOpts::default()
         };
         let rows = compare(&opts);
         // 8 baselines + AIR + GridSelect + the two approximate rungs.
         assert_eq!(rows.len(), 12);
         assert!(rows.iter().any(|r| r.algo.contains("approx")));
+        // Exact rows pass verify_topk, approximate ones their floor.
+        assert!(rows.iter().all(|r| r.verified), "{rows:?}");
+    }
+
+    #[test]
+    fn recall_floor_sits_below_the_plan_and_tightens_with_batch() {
+        let plan = topk_core::BucketedTopK::for_recall(1 << 16, 128, APPROX_TARGET);
+        let takes = plan.plan(128).takes(128);
+        let expected = plan.expected_recall(128);
+        let one = recall_floor(expected, 128, &takes, 1);
+        let four = recall_floor(expected, 128, &takes, 4);
+        assert!(expected >= APPROX_TARGET);
+        assert!(one < four && four < expected, "{one} {four} {expected}");
+        // A half-recall answer is far below either floor.
+        assert!(one > 0.5);
+        // An exact-degenerate plan has no slack at all.
+        assert_eq!(recall_floor(1.0, 128, &[128], 1), 1.0);
     }
 
     #[test]

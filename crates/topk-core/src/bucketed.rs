@@ -22,6 +22,7 @@
 use crate::air::Rows;
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
+use crate::matrix::DeviceMatrix;
 use crate::obs;
 use crate::recall::{expected_recall_parts, BucketedPlan};
 use crate::scratch::ScratchGuard;
@@ -96,6 +97,21 @@ impl BucketedTopK {
     pub fn shared_bytes_for<T: RadixKey>(&self, k: usize) -> usize {
         let take = self.per_bucket.min(k);
         (2 * take).max(64) * (std::mem::size_of::<T::Ordered>() + 4)
+    }
+
+    /// Matrix-shaped batched selection: one contiguous `rows × cols`
+    /// input, outputs packed `rows × k`.
+    pub fn run_matrix_typed<T: RadixKey>(
+        &self,
+        gpu: &mut dyn Backend,
+        input: &DeviceMatrix<T>,
+        k: usize,
+    ) -> Result<(DeviceMatrix<T>, DeviceMatrix<u32>), TopKError> {
+        let (values, indices) = self.run_rows(gpu, Rows::Matrix(input), k)?;
+        Ok((
+            DeviceMatrix::from_buffer(values, input.rows(), k),
+            DeviceMatrix::from_buffer(indices, input.rows(), k),
+        ))
     }
 
     /// One fused launch over the whole batch: `batch · buckets`
@@ -251,16 +267,8 @@ impl TopKAlgorithm for BucketedTopK {
     ) -> Result<Vec<TopKOutput>, TopKError> {
         let n = check_batch(self, inputs)?;
         check_args(self, n, k)?;
-        let batch = inputs.len();
         let (out_val, out_idx) = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        Ok((0..batch)
-            .map(|p| {
-                TopKOutput::new(
-                    crate::air::slice_buffer(&out_val, p * k, k, "bucketed_values"),
-                    crate::air::slice_buffer(&out_idx, p * k, k, "bucketed_indices"),
-                )
-            })
-            .collect())
+        Ok(crate::air::split_outputs(out_val, out_idx, inputs.len()))
     }
 }
 

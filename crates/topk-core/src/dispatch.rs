@@ -32,12 +32,17 @@ use crate::air::{AirConfig, AirTopK};
 use crate::bucketed::BucketedTopK;
 use crate::error::TopKError;
 use crate::gridselect::{GridSelect, MAX_K as GRID_MAX_K};
+use crate::matrix::DeviceMatrix;
 use crate::radik::{RadiK, RadiKConfig};
 use crate::rowwise::RowWiseTopK;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput};
 use crate::tuner::{DistSketch, Plan, ProblemShape, TunedAlgo, Tuner};
 use crate::twostage::TwoStageTopK;
 use gpu_sim::{Backend, DeviceBuffer, DeviceSpec};
+use std::borrow::Cow;
+
+/// Packed `rows × k` `(values, indices)` outputs of a matrix selection.
+pub type PackedOutput = (DeviceMatrix<f32>, DeviceMatrix<u32>);
 
 /// Which algorithm the static prior picked (returned by
 /// [`SelectK::choice`] so callers can log / assert the routing).
@@ -173,6 +178,51 @@ impl SelectK {
         }
     }
 
+    /// The AIR instance for a digit width: the configured one at the
+    /// default width, a fresh one otherwise.
+    fn air_for(&self, bits_per_pass: u32) -> Cow<'_, AirTopK> {
+        if bits_per_pass == AirConfig::default().bits_per_pass {
+            Cow::Borrowed(&self.air)
+        } else {
+            Cow::Owned(AirTopK::new(AirConfig {
+                bits_per_pass,
+                ..AirConfig::default()
+            }))
+        }
+    }
+
+    /// The RadiK instance for a digit width, like [`SelectK::air_for`].
+    fn radik_for(&self, bits_per_pass: u32) -> Cow<'_, RadiK> {
+        if bits_per_pass == RadiKConfig::default().bits_per_pass {
+            Cow::Borrowed(&self.radik)
+        } else {
+            Cow::Owned(RadiK::new(RadiKConfig {
+                bits_per_pass,
+                ..RadiKConfig::default()
+            }))
+        }
+    }
+
+    /// Run the plan routed for `shape`. The candidate gates make a
+    /// rejected tuned pick unreachable in practice, but if one ever
+    /// reports a shape it cannot handle, the static prior runs instead
+    /// of the query failing.
+    fn run_routed<R>(
+        &self,
+        gpu: &mut dyn Backend,
+        shape: &ProblemShape,
+        run: impl Fn(TunedAlgo, &mut dyn Backend) -> Result<R, TopKError>,
+    ) -> Result<R, TopKError> {
+        match run(self.route(gpu.spec(), shape), gpu) {
+            Err(TopKError::UnsupportedShape { .. } | TopKError::InvalidK { .. })
+                if self.tuner.is_some() =>
+            {
+                run(self.static_algo(shape.n, shape.k, shape.batch), gpu)
+            }
+            result => result,
+        }
+    }
+
     fn run_single(
         &self,
         algo: TunedAlgo,
@@ -182,27 +232,11 @@ impl SelectK {
     ) -> Result<TopKOutput, TopKError> {
         match algo {
             TunedAlgo::Air { bits_per_pass } => {
-                if bits_per_pass == AirConfig::default().bits_per_pass {
-                    self.air.try_select(gpu, input, k)
-                } else {
-                    AirTopK::new(AirConfig {
-                        bits_per_pass,
-                        ..AirConfig::default()
-                    })
-                    .try_select(gpu, input, k)
-                }
+                self.air_for(bits_per_pass).try_select(gpu, input, k)
             }
             TunedAlgo::Grid => self.grid.try_select(gpu, input, k),
             TunedAlgo::RadiK { bits_per_pass } => {
-                if bits_per_pass == RadiKConfig::default().bits_per_pass {
-                    self.radik.try_select(gpu, input, k)
-                } else {
-                    RadiK::new(RadiKConfig {
-                        bits_per_pass,
-                        ..RadiKConfig::default()
-                    })
-                    .try_select(gpu, input, k)
-                }
+                self.radik_for(bits_per_pass).try_select(gpu, input, k)
             }
             TunedAlgo::RowWise => self.rowwise.try_select(gpu, input, k),
             TunedAlgo::Bucketed { per_bucket } => {
@@ -224,28 +258,12 @@ impl SelectK {
     ) -> Result<Vec<TopKOutput>, TopKError> {
         match algo {
             TunedAlgo::Air { bits_per_pass } => {
-                if bits_per_pass == AirConfig::default().bits_per_pass {
-                    self.air.try_select_batch(gpu, inputs, k)
-                } else {
-                    AirTopK::new(AirConfig {
-                        bits_per_pass,
-                        ..AirConfig::default()
-                    })
-                    .try_select_batch(gpu, inputs, k)
-                }
+                self.air_for(bits_per_pass).try_select_batch(gpu, inputs, k)
             }
             TunedAlgo::Grid => self.grid.try_select_batch(gpu, inputs, k),
-            TunedAlgo::RadiK { bits_per_pass } => {
-                if bits_per_pass == RadiKConfig::default().bits_per_pass {
-                    self.radik.try_select_batch(gpu, inputs, k)
-                } else {
-                    RadiK::new(RadiKConfig {
-                        bits_per_pass,
-                        ..RadiKConfig::default()
-                    })
-                    .try_select_batch(gpu, inputs, k)
-                }
-            }
+            TunedAlgo::RadiK { bits_per_pass } => self
+                .radik_for(bits_per_pass)
+                .try_select_batch(gpu, inputs, k),
             TunedAlgo::RowWise => self.rowwise.try_select_batch(gpu, inputs, k),
             TunedAlgo::Bucketed { per_bucket } => {
                 BucketedTopK::new(per_bucket as usize).try_select_batch(gpu, inputs, k)
@@ -255,6 +273,33 @@ impl SelectK {
                 k_prime,
             } => TwoStageTopK::new(partitions as usize, k_prime as usize)
                 .try_select_batch(gpu, inputs, k),
+        }
+    }
+
+    fn run_matrix(
+        &self,
+        algo: TunedAlgo,
+        gpu: &mut dyn Backend,
+        input: &DeviceMatrix<f32>,
+        k: usize,
+    ) -> Result<PackedOutput, TopKError> {
+        match algo {
+            TunedAlgo::Air { bits_per_pass } => {
+                self.air_for(bits_per_pass).run_matrix_typed(gpu, input, k)
+            }
+            TunedAlgo::Grid => self.grid.run_matrix_typed(gpu, input, k),
+            TunedAlgo::RadiK { bits_per_pass } => self
+                .radik_for(bits_per_pass)
+                .run_matrix_typed(gpu, input, k),
+            TunedAlgo::RowWise => self.rowwise.run_matrix_typed(gpu, input, k),
+            TunedAlgo::Bucketed { per_bucket } => {
+                BucketedTopK::new(per_bucket as usize).run_matrix_typed(gpu, input, k)
+            }
+            TunedAlgo::TwoStage {
+                partitions,
+                k_prime,
+            } => TwoStageTopK::new(partitions as usize, k_prime as usize)
+                .run_matrix_typed(gpu, input, k),
         }
     }
 
@@ -269,20 +314,9 @@ impl SelectK {
     ) -> Result<TopKOutput, TopKError> {
         check_args(self, input.len(), k)?;
         let shape = ProblemShape::new(input.len(), k, 1).with_sketch(sketch);
-        let algo = self.route(gpu.spec(), &shape);
-        match self.run_single(algo, gpu, input, k) {
-            // The candidate gates make this unreachable in practice,
-            // but if a tuned pick ever reports a shape it cannot
-            // handle we fall back to the static prior rather than
-            // failing the query.
-            Err(TopKError::UnsupportedShape { .. } | TopKError::InvalidK { .. })
-                if self.tuner.is_some() =>
-            {
-                let fallback = self.static_algo(input.len(), k, 1);
-                self.run_single(fallback, gpu, input, k)
-            }
-            result => result,
-        }
+        self.run_routed(gpu, &shape, |algo, gpu| {
+            self.run_single(algo, gpu, input, k)
+        })
     }
 
     /// Batched selection with a caller-provided distribution sketch.
@@ -299,16 +333,50 @@ impl SelectK {
         // overhead differently for every algorithm, and collapsing it
         // to 1 here would silently re-route every coalesced query.
         let shape = ProblemShape::new(n, k, inputs.len()).with_sketch(sketch);
-        let algo = self.route(gpu.spec(), &shape);
-        match self.run_batch(algo, gpu, inputs, k) {
-            Err(TopKError::UnsupportedShape { .. } | TopKError::InvalidK { .. })
-                if self.tuner.is_some() =>
-            {
-                let fallback = self.static_algo(n, k, inputs.len());
-                self.run_batch(fallback, gpu, inputs, k)
-            }
-            result => result,
+        self.run_routed(gpu, &shape, |algo, gpu| {
+            self.run_batch(algo, gpu, inputs, k)
+        })
+    }
+    /// Batched selection over a [`DeviceMatrix`]: one contiguous
+    /// `rows × cols` input, packed `rows × k` outputs. This is the
+    /// serving engine's batch layout. `forced` runs that configuration
+    /// directly (the engine's approximate rungs); `None` routes on the
+    /// real row count and `sketch`, like
+    /// [`SelectK::try_select_batch_with_sketch`]. A one-row matrix runs
+    /// the single-problem kernels of [`SelectK::try_select_with_sketch`].
+    pub fn try_select_matrix(
+        &self,
+        gpu: &mut dyn Backend,
+        input: &DeviceMatrix<f32>,
+        k: usize,
+        sketch: DistSketch,
+        forced: Option<TunedAlgo>,
+    ) -> Result<PackedOutput, TopKError> {
+        let (rows, n) = (input.rows(), input.cols());
+        if rows == 0 {
+            return Err(TopKError::UnsupportedShape {
+                algorithm: self.name(),
+                detail: "empty matrix".into(),
+            });
         }
+        if rows == 1 {
+            let out = match forced {
+                Some(algo) => self.run_single(algo, gpu, input.buffer(), k)?,
+                None => self.try_select_with_sketch(gpu, input.buffer(), k, sketch)?,
+            };
+            return Ok((
+                DeviceMatrix::from_buffer(out.values, 1, out.k),
+                DeviceMatrix::from_buffer(out.indices, 1, out.k),
+            ));
+        }
+        if let Some(algo) = forced {
+            return self.run_matrix(algo, gpu, input, k);
+        }
+        check_args(self, n, k)?;
+        let shape = ProblemShape::new(n, k, rows).with_sketch(sketch);
+        self.run_routed(gpu, &shape, |algo, gpu| {
+            self.run_matrix(algo, gpu, input, k)
+        })
     }
 }
 
@@ -470,6 +538,69 @@ mod tests {
             tuned_us < static_us,
             "tuned {tuned_us:.1}µs vs static {static_us:.1}µs"
         );
+    }
+
+    #[test]
+    fn matrix_entry_runs_every_family_with_packed_outputs() {
+        let s = SelectK::default();
+        let (rows, n, k) = (3, 20_000, 40);
+        let datas: Vec<Vec<f32>> = (0..rows)
+            .map(|r| generate(Distribution::Normal, n, 70 + r as u64))
+            .collect();
+        let slices: Vec<&[f32]> = datas.iter().map(Vec::as_slice).collect();
+        // Exact configurations of every family, the approximate ones
+        // at exact-degenerate settings (one bucket, k′ = K).
+        let algos = [
+            None,
+            Some(TunedAlgo::Air { bits_per_pass: 8 }),
+            Some(TunedAlgo::Air { bits_per_pass: 11 }),
+            Some(TunedAlgo::Grid),
+            Some(TunedAlgo::RadiK { bits_per_pass: 8 }),
+            Some(TunedAlgo::RowWise),
+            Some(TunedAlgo::Bucketed {
+                per_bucket: k as u32,
+            }),
+            Some(TunedAlgo::TwoStage {
+                partitions: 4,
+                k_prime: k as u32,
+            }),
+        ];
+        for forced in algos {
+            let mut gpu = Gpu::new(DeviceSpec::a100());
+            let m = DeviceMatrix::try_htod_rows(&mut gpu, "m", &slices).unwrap();
+            let (vals, idxs) = s
+                .try_select_matrix(&mut gpu, &m, k, DistSketch::uniform(), forced)
+                .unwrap();
+            assert_eq!((vals.rows(), vals.cols()), (rows, k), "{forced:?}");
+            for (r, d) in datas.iter().enumerate() {
+                verify_topk(d, k, &vals.row_to_vec(r), &idxs.row_to_vec(r))
+                    .unwrap_or_else(|e| panic!("{forced:?} row {r}: {e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn one_row_matrix_runs_the_single_problem_kernels() {
+        let s = SelectK::default();
+        let data = generate(Distribution::Uniform, 1 << 17, 9);
+        let run = |matrix: bool| {
+            let mut gpu = Gpu::new(DeviceSpec::a100());
+            let m = DeviceMatrix::try_htod_rows(&mut gpu, "m", &[&data]).unwrap();
+            gpu.reset_profile();
+            let sketch = DistSketch::uniform();
+            let vals = if matrix {
+                let (v, _) = s.try_select_matrix(&mut gpu, &m, 32, sketch, None).unwrap();
+                v.row_to_vec(0)
+            } else {
+                let out = s
+                    .try_select_with_sketch(&mut gpu, m.buffer(), 32, sketch)
+                    .unwrap();
+                out.values.to_vec()
+            };
+            let names: Vec<String> = gpu.reports().iter().map(|r| r.name.clone()).collect();
+            (vals, names, gpu.elapsed_us())
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //! machinery that the WarpSelect and BlockSelect baselines instantiate
 //! with per-thread queues and a single block.
 
+use crate::air::{split_outputs, split_rows};
 use crate::bitonic::{bitonic_sort, merge_into_topk};
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
+use crate::matrix::DeviceMatrix;
 use crate::obs;
 use crate::scratch::ScratchGuard;
 use crate::traits::{check_args, check_batch, Category, TopKAlgorithm, TopKOutput, TypedOutput};
@@ -229,7 +231,7 @@ impl GridSelect {
                 ),
             });
         }
-        select_streaming_core_typed(
+        let (values, indices) = select_streaming_core_typed(
             gpu,
             "gridselect_kernel",
             n,
@@ -238,32 +240,38 @@ impl GridSelect {
             &self.cfg,
             |ctx, prob, i| ctx.ld(&inputs[prob], i),
             |c| inputs.iter().fold(c, |c, b| c.reads(b, Footprint::all())),
-        )
+        )?;
+        Ok(split_rows(values, indices, inputs.len()))
     }
 
     /// Matrix-shaped batched selection (RAFT `matrix::select_k`
-    /// parity): one contiguous `rows × cols` input, per-row top-K.
+    /// parity): one contiguous `rows × cols` input, outputs packed
+    /// `rows × k`.
     pub fn run_matrix_typed<T>(
         &self,
         gpu: &mut dyn Backend,
-        input: &crate::matrix::DeviceMatrix<T>,
+        input: &DeviceMatrix<T>,
         k: usize,
-    ) -> Result<Vec<TypedOutput<T>>, TopKError>
+    ) -> Result<(DeviceMatrix<T>, DeviceMatrix<u32>), TopKError>
     where
         T: RadixKey,
         T::Ordered: DeviceScalar,
     {
-        let cols = input.cols();
-        select_streaming_core_typed(
+        let (rows, cols) = (input.rows(), input.cols());
+        let (values, indices) = select_streaming_core_typed(
             gpu,
             "gridselect_kernel",
             cols,
-            input.rows(),
+            rows,
             k,
             &self.cfg,
             |ctx, prob, i| ctx.ld(input.buffer(), prob * cols + i),
             |c| c.reads(input.buffer(), Footprint::all()),
-        )
+        )?;
+        Ok((
+            DeviceMatrix::from_buffer(values, rows, k),
+            DeviceMatrix::from_buffer(indices, rows, k),
+        ))
     }
 }
 
@@ -462,19 +470,17 @@ where
     P: Fn(&mut BlockCtx<'_>, usize, usize) -> f32 + Sync,
     D: Fn(KernelContract) -> KernelContract,
 {
-    Ok(
-        select_streaming_core_typed(gpu, name, n, batch, k, cfg, producer, declare_reads)?
-            .into_iter()
-            .map(|(values, indices)| TopKOutput::new(values, indices))
-            .collect(),
-    )
+    let (values, indices) =
+        select_streaming_core_typed(gpu, name, n, batch, k, cfg, producer, declare_reads)?;
+    Ok(split_outputs(values, indices, batch))
 }
 
 /// Generic-key variant of [`select_streaming_core`]: the producer may
 /// return any [`RadixKey`] type (`f32/u32/i32/f64/u64/i64`). 64-bit
 /// keys double the per-warp shared-memory footprint, which the cost
 /// model turns into lower occupancy — the same trade a real
-/// implementation makes.
+/// implementation makes. Outputs are packed row-major `batch × k`
+/// `(values, indices)` buffers.
 #[allow(clippy::too_many_arguments)]
 pub fn select_streaming_core_typed<T, P, D>(
     gpu: &mut dyn Backend,
@@ -485,7 +491,7 @@ pub fn select_streaming_core_typed<T, P, D>(
     cfg: &GridSelectConfig,
     producer: P,
     declare_reads: D,
-) -> Result<Vec<TypedOutput<T>>, TopKError>
+) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError>
 where
     T: RadixKey,
     T::Ordered: DeviceScalar,
@@ -537,7 +543,7 @@ fn streaming_core_launches<T, P, D>(
     cfg: &GridSelectConfig,
     producer: P,
     declare_reads: D,
-) -> Result<Vec<TypedOutput<T>>, TopKError>
+) -> Result<(DeviceBuffer<T>, DeviceBuffer<u32>), TopKError>
 where
     T: RadixKey,
     T::Ordered: DeviceScalar,
@@ -565,12 +571,8 @@ where
     let mut lists = bpp;
     let scratch_keys = ws.alloc::<T::Ordered>(gpu, "gs_scratch_keys", batch * bpp * klen)?;
     let scratch_idx = ws.alloc::<u32>(gpu, "gs_scratch_idx", batch * bpp * klen)?;
-    let out_val: Vec<DeviceBuffer<T>> = (0..batch)
-        .map(|_| outs.alloc::<T>(gpu, "gs_out_val", k))
-        .collect::<Result<_, _>>()?;
-    let out_idx: Vec<DeviceBuffer<u32>> = (0..batch)
-        .map(|_| outs.alloc::<u32>(gpu, "gs_out_idx", k))
-        .collect::<Result<_, _>>()?;
+    let out_val = outs.alloc::<T>(gpu, "gs_out_val", batch * k)?;
+    let out_idx = outs.alloc::<u32>(gpu, "gs_out_idx", batch * k)?;
 
     let queue = cfg.queue;
     let ipt = cfg.items_per_thread;
@@ -580,18 +582,15 @@ where
         QueueKind::PerThread { len } => len * WARP_SIZE,
     };
     let entry_bytes = std::mem::size_of::<T::Ordered>() + 4;
-    // Which problem's output a block writes is `block / bpp` — fixed
-    // per buffer but not expressible per-entry, so the k-slot outputs
-    // are declared block-coordinated rather than exclusive.
-    let mut contract = declare_reads(KernelContract::new(name))
+    // Outputs are packed `batch × k`: the `bpp` blocks of problem `p`
+    // share its row `[p·k, +k)` (only one of them writes it), so the
+    // rows are declared group-coordinated rather than exclusive.
+    let contract = declare_reads(KernelContract::new(name))
         .writes(&scratch_keys, Footprint::per_block(klen))
         .writes(&scratch_idx, Footprint::per_block(klen))
+        .writes_shared(&out_val, Footprint::per_group(bpp, k))
+        .writes_shared(&out_idx, Footprint::per_group(bpp, k))
         .uses_shared_mem(warps * (klen + queue_slots) * entry_bytes);
-    for p in 0..batch {
-        contract = contract
-            .writes_shared(&out_val[p], Footprint::fixed(0, k))
-            .writes_shared(&out_idx[p], Footprint::fixed(0, k));
-    }
     gpu.try_launch_checked(&contract, LaunchConfig::grid_1d(grid, block_dim), |ctx| {
         let prob = ctx.block_idx / bpp;
         let blk = ctx.block_idx % bpp;
@@ -640,8 +639,12 @@ where
             // Single block per problem (WarpSelect/BlockSelect shape):
             // write the final K directly.
             for i in 0..k {
-                ctx.st(&out_val[prob], i, T::from_ordered(head[0].list_keys[i]));
-                ctx.st(&out_idx[prob], i, head[0].list_idx[i]);
+                ctx.st(
+                    &out_val,
+                    prob * k + i,
+                    T::from_ordered(head[0].list_keys[i]),
+                );
+                ctx.st(&out_idx, prob * k + i, head[0].list_idx[i]);
             }
         } else {
             let base = (prob * bpp + blk) * klen;
@@ -669,14 +672,11 @@ where
         let groups = lists.div_ceil(MERGE_FANIN);
         let cur = lists;
         let step = stride;
-        let mut contract = KernelContract::new("gridselect_merge_kernel")
+        let contract = KernelContract::new("gridselect_merge_kernel")
             .coordinates(&scratch_keys, Footprint::per_group(groups, bpp * klen))
-            .coordinates(&scratch_idx, Footprint::per_group(groups, bpp * klen));
-        for p in 0..batch {
-            contract = contract
-                .writes_shared(&out_val[p], Footprint::fixed(0, k))
-                .writes_shared(&out_idx[p], Footprint::fixed(0, k));
-        }
+            .coordinates(&scratch_idx, Footprint::per_group(groups, bpp * klen))
+            .writes_shared(&out_val, Footprint::per_group(groups, k))
+            .writes_shared(&out_idx, Footprint::per_group(groups, k));
         gpu.try_launch_checked(
             &contract,
             LaunchConfig::grid_1d(batch * groups, 256),
@@ -704,8 +704,8 @@ where
                     // Final round: emit the K results (the list is
                     // sorted ascending; slots beyond k are sentinels).
                     for i in 0..k {
-                        ctx.st(&out_val[prob], i, T::from_ordered(keys[i]));
-                        ctx.st(&out_idx[prob], i, idx[i]);
+                        ctx.st(&out_val, prob * k + i, T::from_ordered(keys[i]));
+                        ctx.st(&out_idx, prob * k + i, idx[i]);
                     }
                 } else {
                     // Write back to this group's own first slot (the
@@ -722,9 +722,7 @@ where
         stride *= MERGE_FANIN;
     }
 
-    Ok((0..batch)
-        .map(|p| (out_val[p].clone(), out_idx[p].clone()))
-        .collect())
+    Ok((out_val, out_idx))
 }
 
 /// Process one 32-element lockstep group for a warp.

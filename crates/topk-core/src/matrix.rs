@@ -8,7 +8,7 @@
 //! writes its `rows × k` outputs packed — how the real library works,
 //! as opposed to the `&[DeviceBuffer]` convenience API.
 
-use gpu_sim::{Backend, BackendExt, DeviceBuffer, DeviceScalar};
+use gpu_sim::{Backend, BackendExt, DeviceBuffer, DeviceScalar, SimError};
 
 /// A row-major `rows × cols` matrix in device memory.
 #[derive(Debug, Clone)]
@@ -49,6 +49,27 @@ impl<T: DeviceScalar> DeviceMatrix<T> {
             rows,
             cols,
         }
+    }
+
+    /// Upload equal-length host rows into a new matrix with one
+    /// contiguous allocation and one host→device copy. Each row is
+    /// written straight from its slice: no host staging copy. A failed
+    /// allocation or copy leaves nothing allocated.
+    pub fn try_htod_rows(
+        gpu: &mut dyn Backend,
+        label: &str,
+        rows: &[&[T]],
+    ) -> Result<Self, SimError> {
+        let cols = rows.first().map_or(0, |r| r.len());
+        assert!(
+            rows.iter().all(|r| r.len() == cols),
+            "matrix rows must share one length"
+        );
+        Ok(DeviceMatrix {
+            buf: gpu.try_htod_rows(label, rows)?,
+            rows: rows.len(),
+            cols,
+        })
     }
 
     /// Number of rows (problems).
@@ -158,11 +179,68 @@ mod tests {
             .collect();
         let flat: Vec<f32> = datas.iter().flatten().copied().collect();
         let m = DeviceMatrix::htod(&mut gpu, "m", &flat, rows, cols);
-        let outs = GridSelect::default()
+        let (vals, idxs) = GridSelect::default()
             .run_matrix_typed(&mut gpu, &m, k)
             .unwrap();
-        for ((d, (v, i)), r) in datas.iter().zip(&outs).zip(0..) {
-            verify_topk(d, k, &v.to_vec(), &i.to_vec()).unwrap_or_else(|e| panic!("row {r}: {e}"));
+        assert_eq!((vals.rows(), vals.cols()), (rows, k), "packed rows × k");
+        for (r, d) in datas.iter().enumerate() {
+            verify_topk(d, k, &vals.row_to_vec(r), &idxs.row_to_vec(r))
+                .unwrap_or_else(|e| panic!("row {r}: {e}"));
         }
+    }
+
+    #[test]
+    fn split_batch_outputs_pass_leakcheck_once_freed() {
+        use crate::{AirTopK, GridSelect, TopKAlgorithm};
+        use gpu_sim::SanitizerMode;
+        let algs: [&dyn TopKAlgorithm; 2] = [&AirTopK::default(), &GridSelect::default()];
+        for alg in algs {
+            for rows in [1usize, 3] {
+                let mut gpu = Gpu::new(DeviceSpec::a100());
+                gpu.enable_sanitizer(SanitizerMode::full().with_leakcheck());
+                let inputs: Vec<_> = (0..rows)
+                    .map(|r| {
+                        let d = datagen::generate(datagen::Distribution::Uniform, 20_000, r as u64);
+                        gpu.htod("in", &d)
+                    })
+                    .collect();
+                let outs = alg.try_select_batch(&mut gpu, &inputs, 16).unwrap();
+                for o in &outs {
+                    gpu.free(&o.values);
+                    gpu.free(&o.indices);
+                }
+                for i in &inputs {
+                    gpu.free(i);
+                }
+                gpu.run_leakcheck();
+                let report = gpu.sanitizer_report().unwrap();
+                assert_eq!(gpu.mem_allocated(), 0);
+                assert!(
+                    report.findings.is_empty(),
+                    "{} rows={rows}: {:?}",
+                    alg.name(),
+                    report.findings
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rows_upload_is_one_allocation_and_one_copy() {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let (a, b) = (vec![1.0f32, 2.0, 3.0], vec![4.0f32, 5.0, 6.0]);
+        let m = DeviceMatrix::try_htod_rows(&mut gpu, "m", &[&a, &b]).unwrap();
+        assert_eq!((m.rows(), m.cols()), (2, 3));
+        assert_eq!(m.row_to_vec(1), b);
+        assert_eq!(gpu.mem_allocated(), 24);
+        assert_eq!(gpu.timeline().events().len(), 1, "one H2D copy");
+        gpu.free(m.buffer());
+    }
+
+    #[test]
+    #[should_panic(expected = "share one length")]
+    fn ragged_rows_rejected() {
+        let mut gpu = Gpu::new(DeviceSpec::a100());
+        let _ = DeviceMatrix::try_htod_rows(&mut gpu, "m", &[&[1.0f32, 2.0][..], &[3.0]]);
     }
 }

@@ -168,17 +168,8 @@ impl RadiK {
                 ),
             });
         }
-        let batch = inputs.len();
         let (out_val, out_idx) = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        let width = out_val.len() / batch;
-        Ok((0..batch)
-            .map(|p| {
-                (
-                    crate::air::slice_buffer(&out_val, p * width, width, "radik_values"),
-                    crate::air::slice_buffer(&out_idx, p * width, width, "radik_indices"),
-                )
-            })
-            .collect())
+        Ok(crate::air::split_rows(out_val, out_idx, inputs.len()))
     }
 
     /// Matrix-shaped batched selection (packed `rows × k` outputs).
@@ -228,16 +219,7 @@ impl RadiK {
         if k == n || n <= ONE_BLOCK_THRESHOLD {
             // The sketch pass can't pay for itself here; AIR's trivial
             // and one-block paths are already optimal.
-            return match inputs {
-                Rows::Slices(v) => {
-                    let outs = self.inner.run_batch_typed(gpu, v, k)?;
-                    Ok(repack(outs, k))
-                }
-                Rows::Matrix(m) => {
-                    let (vals, idxs) = self.inner.run_matrix_typed(gpu, m, k)?;
-                    Ok((vals.buffer().clone(), idxs.buffer().clone()))
-                }
-            };
+            return self.inner.run_rows(gpu, inputs, k);
         }
         let mut ws = ScratchGuard::new();
         let mut outs = ScratchGuard::new();
@@ -750,24 +732,6 @@ impl RadiK {
 
         Ok((out_val, out_idx))
     }
-}
-
-/// Re-pack per-problem typed outputs into the packed `batch × k` pair
-/// `run_rows` promises (used on the delegated small-problem path).
-fn repack<T: RadixKey>(
-    outs: Vec<TypedOutput<T>>,
-    k: usize,
-) -> (DeviceBuffer<T>, DeviceBuffer<u32>) {
-    let batch = outs.len();
-    let val = DeviceBuffer::<T>::zeroed("radik_out_val", batch * k);
-    let idx = DeviceBuffer::<u32>::zeroed("radik_out_idx", batch * k);
-    for (p, (v, i)) in outs.iter().enumerate() {
-        for j in 0..k {
-            val.set(p * k + j, v.get(j));
-            idx.set(p * k + j, i.get(j));
-        }
-    }
-    (val, idx)
 }
 
 impl TopKAlgorithm for RadiK {

@@ -77,6 +77,48 @@ pub fn expected_recall_parts(k: usize, takes: &[usize]) -> f64 {
     (total / k as f64).min(1.0)
 }
 
+/// `(E[min(X, cap)], Var[min(X, cap)])` where `X ~ Binomial(k, 1/parts)`,
+/// from the same iterated pmf as [`expected_min_binomial`].
+fn min_binomial_moments(k: usize, parts: usize, cap: usize) -> (f64, f64) {
+    if parts <= 1 || cap == 0 {
+        // X = k deterministically, or nothing is kept.
+        return (k.min(cap) as f64, 0.0);
+    }
+    let p = 1.0 / parts as f64;
+    let ratio = p / (1.0 - p);
+    let mut pmf = (1.0 - p).powi(k as i32);
+    let (mut below, mut m1, mut m2) = (0.0, 0.0, 0.0);
+    for x in 0..cap.min(k + 1) {
+        below += pmf;
+        m1 += x as f64 * pmf;
+        m2 += (x * x) as f64 * pmf;
+        pmf *= (k - x) as f64 / (x + 1) as f64 * ratio;
+    }
+    // The remaining mass sits at min(X, cap) = cap.
+    let tail = (1.0 - below).max(0.0);
+    let capped = cap.min(k) as f64;
+    m1 += capped * tail;
+    m2 += capped * capped * tail;
+    (m1, (m2 - m1 * m1).max(0.0))
+}
+
+/// Upper bound on the standard deviation of the recall of one problem
+/// under the per-part keep counts `takes` (i.i.d. inputs). The per-part
+/// counts are jointly multinomial, hence negatively associated, and
+/// `min(X, c)` is non-decreasing, so the kept counts covary
+/// non-positively: the variance of their sum is at most the sum of
+/// their variances.
+pub fn recall_sd_bound(k: usize, takes: &[usize]) -> f64 {
+    if k == 0 || takes.len() <= 1 || takes.iter().all(|&t| t >= k) {
+        return 0.0;
+    }
+    let var: f64 = takes
+        .iter()
+        .map(|&t| min_binomial_moments(k, takes.len(), t).1)
+        .sum();
+    var.sqrt() / k as f64
+}
+
 /// A bucketed plan: `buckets` blocks each keep `per_bucket` winners
 /// (the last keeps `k − (buckets−1)·per_bucket`), totalling exactly K.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,6 +261,26 @@ mod tests {
         assert_eq!(expected_recall(100, 8, 100), 1.0);
         assert_eq!(expected_recall(0, 8, 1), 1.0);
         assert_eq!(expected_recall_parts(10, &[10, 10]), 1.0);
+    }
+
+    #[test]
+    fn min_binomial_moments_match_the_pmf() {
+        let (k, parts) = (12usize, 3usize);
+        let p = 1.0 / parts as f64;
+        let pmf = |x: usize| {
+            let choose = (0..x).fold(1.0, |c, i| c * (k - i) as f64 / (i + 1) as f64);
+            choose * p.powi(x as i32) * (1.0 - p).powi((k - x) as i32)
+        };
+        for cap in [1usize, 4, 7, 12, 20] {
+            let m1: f64 = (0..=k).map(|x| x.min(cap) as f64 * pmf(x)).sum();
+            let m2: f64 = (0..=k).map(|x| (x.min(cap) as f64).powi(2) * pmf(x)).sum();
+            let (e, var) = min_binomial_moments(k, parts, cap);
+            assert!((e - m1).abs() < 1e-9, "cap={cap}: {e} vs {m1}");
+            assert!((e - expected_min_binomial(k, parts, cap)).abs() < 1e-9);
+            assert!((var - (m2 - m1 * m1)).abs() < 1e-9, "cap={cap}");
+        }
+        assert_eq!(recall_sd_bound(64, &[64]), 0.0, "one part is exact");
+        assert_eq!(recall_sd_bound(64, &[64, 64]), 0.0, "keeping all is exact");
     }
 
     #[test]

@@ -268,16 +268,8 @@ impl TopKAlgorithm for RowWiseTopK {
     ) -> Result<Vec<TopKOutput>, TopKError> {
         let n = check_batch(self, inputs)?;
         check_args(self, n, k)?;
-        let batch = inputs.len();
         let (out_val, out_idx) = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        Ok((0..batch)
-            .map(|p| {
-                TopKOutput::new(
-                    crate::air::slice_buffer(&out_val, p * k, k, "rowwise_values"),
-                    crate::air::slice_buffer(&out_idx, p * k, k, "rowwise_indices"),
-                )
-            })
-            .collect())
+        Ok(crate::air::split_outputs(out_val, out_idx, inputs.len()))
     }
 }
 

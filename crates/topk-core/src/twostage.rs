@@ -21,6 +21,7 @@
 use crate::air::Rows;
 use crate::error::TopKError;
 use crate::keys::{OrderedBits, RadixKey};
+use crate::matrix::DeviceMatrix;
 use crate::obs;
 use crate::recall::TwoStagePlan;
 use crate::scratch::ScratchGuard;
@@ -94,6 +95,21 @@ impl TwoStageTopK {
     pub fn shared_bytes_for<T: RadixKey>(&self, k: usize) -> usize {
         let cap = (2 * self.k_prime.max(k)).max(64);
         cap * (std::mem::size_of::<T::Ordered>() + 4)
+    }
+
+    /// Matrix-shaped batched selection: one contiguous `rows × cols`
+    /// input, outputs packed `rows × k`.
+    pub fn run_matrix_typed<T: RadixKey>(
+        &self,
+        gpu: &mut dyn Backend,
+        input: &DeviceMatrix<T>,
+        k: usize,
+    ) -> Result<(DeviceMatrix<T>, DeviceMatrix<u32>), TopKError> {
+        let (values, indices) = self.run_rows(gpu, Rows::Matrix(input), k)?;
+        Ok((
+            DeviceMatrix::from_buffer(values, input.rows(), k),
+            DeviceMatrix::from_buffer(indices, input.rows(), k),
+        ))
     }
 
     /// Two launches over the whole batch: stage one is
@@ -343,16 +359,8 @@ impl TopKAlgorithm for TwoStageTopK {
     ) -> Result<Vec<TopKOutput>, TopKError> {
         let n = check_batch(self, inputs)?;
         check_args(self, n, k)?;
-        let batch = inputs.len();
         let (out_val, out_idx) = self.run_rows(gpu, Rows::Slices(inputs), k)?;
-        Ok((0..batch)
-            .map(|p| {
-                TopKOutput::new(
-                    crate::air::slice_buffer(&out_val, p * k, k, "twostage_values"),
-                    crate::air::slice_buffer(&out_idx, p * k, k, "twostage_indices"),
-                )
-            })
-            .collect())
+        Ok(crate::air::split_outputs(out_val, out_idx, inputs.len()))
     }
 }
 

@@ -10,11 +10,14 @@
 //!   [`EngineConfig::queue_capacity`]) and a **pool of simulated
 //!   devices**, one worker thread per device.
 //! * [`TopKEngine::drain`] **coalesces** queued queries with the same
-//!   `(N, K)` shape into fused [`try_select_batch`] launches of up to
-//!   [`EngineConfig::coalescing_window`] queries — the paper's §5.1
-//!   batch-100 measurements show why: batching amortises launch
-//!   overhead and fills the grid, so a fused launch beats `B`
-//!   back-to-back single selections.
+//!   `(N, K)` shape into batches of up to
+//!   [`EngineConfig::coalescing_window`] queries. Each batch runs as
+//!   one [`DeviceMatrix`]: one contiguous H2D upload, one fused launch
+//!   set through [`SelectK::try_select_matrix`], and one synchronised
+//!   readback of the packed `rows × K` outputs. The paper's §5.1
+//!   batch-100 measurements show why: batching amortises launch,
+//!   transfer and sync overhead and fills the grid, so a fused batch
+//!   beats `B` back-to-back single selections.
 //! * Every batch routes through the [`SelectK`] **adaptive
 //!   dispatcher**: each query's distribution sketch (computed at
 //!   submission, merged per batch) and the batch's real `(N, K, B)`
@@ -101,8 +104,6 @@
 //!   one query track per device.
 //! * [`TopKEngine::snapshot`] returns an [`EngineSnapshot`] of queue
 //!   depth, per-device utilisation and error totals.
-//!
-//! [`try_select_batch`]: topk_core::TopKAlgorithm::try_select_batch
 
 pub mod flight;
 pub mod metrics;
@@ -127,7 +128,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use topk_core::tuner::{DistSketch, PlanKey, ProblemShape, TunedAlgo, Tuner};
 use topk_core::{
-    AlgoSnapshot, BucketedTopK, ScratchGuard, SelectK, TopKAlgorithm, TopKError, TwoStageTopK,
+    AlgoSnapshot, BucketedTopK, DeviceMatrix, ScratchGuard, SelectK, TopKError, TwoStageTopK,
 };
 
 /// Post-mortem JSON documents retained per engine; once full, further
@@ -2435,10 +2436,13 @@ fn coalesce(pending: Vec<Pending>, window: usize) -> Vec<Batch> {
     batches
 }
 
-/// Upload, select (fused when the batch has > 1 query), download.
-/// Device-side inputs and outputs are freed on every non-panicking
-/// path — including injected-fault errors — so the next batch on this
-/// device sees honest `mem_allocated`.
+/// Run one coalesced batch as one device matrix: upload its rows into
+/// one contiguous allocation with one H2D copy, select through
+/// [`SelectK::try_select_matrix`], and read the packed `rows × k`
+/// outputs back under one host sync. Device-side inputs and outputs
+/// are freed on every non-panicking path — including injected-fault
+/// errors — so the next batch on this device sees honest
+/// `mem_allocated`.
 ///
 /// `approx` carries the scheduler's accuracy-ladder decision: `None`
 /// routes through the exact adaptive dispatcher; a
@@ -2463,63 +2467,24 @@ fn batch_passes(
     batch: &Batch,
     approx: Option<TunedAlgo>,
 ) -> Result<Vec<QueryOutput>, TopKError> {
-    let mut inputs = Vec::with_capacity(batch.queries.len());
-    for q in &batch.queries {
-        let buf = gpu.try_htod(&format!("query{}", q.id), &q.data)?;
-        ws.adopt(&buf);
-        inputs.push(buf);
-    }
-    let outs = match approx {
-        Some(TunedAlgo::Bucketed { per_bucket }) => {
-            let algo = BucketedTopK::new(per_bucket as usize);
-            if inputs.len() == 1 {
-                vec![algo.try_select(gpu, &inputs[0], batch.k)?]
-            } else {
-                algo.try_select_batch(gpu, &inputs, batch.k)?
-            }
-        }
-        Some(TunedAlgo::TwoStage {
-            partitions,
-            k_prime,
-        }) => {
-            let algo = TwoStageTopK::new(partitions as usize, k_prime as usize);
-            if inputs.len() == 1 {
-                vec![algo.try_select(gpu, &inputs[0], batch.k)?]
-            } else {
-                algo.try_select_batch(gpu, &inputs, batch.k)?
-            }
-        }
-        _ if inputs.len() == 1 => {
-            vec![selector.try_select_with_sketch(gpu, &inputs[0], batch.k, batch.sketch)?]
-        }
-        _ => selector.try_select_batch_with_sketch(gpu, &inputs, batch.k, batch.sketch)?,
-    };
-    // Read back through the fallible path (an injected corruption must
-    // surface, not panic), but keep freeing every output buffer even
-    // when an earlier readback failed.
-    let mut host = Vec::with_capacity(outs.len());
-    let mut first_err: Option<TopKError> = None;
-    for out in outs {
-        if first_err.is_none() {
-            let read = gpu
-                .try_dtoh(&out.values)
-                .and_then(|values| gpu.try_dtoh(&out.indices).map(|indices| (values, indices)));
-            match read {
-                Ok((values, indices)) => host.push(QueryOutput {
-                    values,
-                    indices,
-                    k: out.k,
-                }),
-                Err(e) => first_err = Some(e.into()),
-            }
-        }
-        gpu.free(&out.values);
-        gpu.free(&out.indices);
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(host),
-    }
+    let rows: Vec<&[f32]> = batch.queries.iter().map(|q| q.data.as_slice()).collect();
+    let input = DeviceMatrix::try_htod_rows(gpu, &format!("batch{}", batch.span), &rows)?;
+    ws.adopt(input.buffer());
+    let (values, indices) =
+        selector.try_select_matrix(gpu, &input, batch.k, batch.sketch, approx)?;
+    ws.adopt(values.buffer());
+    ws.adopt(indices.buffer());
+    let k = values.cols();
+    let (values, indices) = gpu.try_dtoh_pair(values.buffer(), indices.buffer())?;
+    Ok(values
+        .chunks(k)
+        .zip(indices.chunks(k))
+        .map(|(v, i)| QueryOutput {
+            values: v.to_vec(),
+            indices: i.to_vec(),
+            k,
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -967,3 +967,176 @@ fn sanitizer_counts_are_drain_relative() {
     assert_eq!(second.sanitizer.total(), 0);
     assert_eq!(second.devices[0].sanitizer, SanitizerCounts::default());
 }
+
+// ---- batch transfer shape ----------------------------------------------
+
+/// One coalesced batch of `datas` (all of one length) at `k`.
+fn batch_of(datas: &[Vec<f32>], k: usize) -> Batch {
+    let pending = datas
+        .iter()
+        .enumerate()
+        .map(|(id, d)| Pending {
+            id,
+            span: id as u64 + 1,
+            data: d.clone(),
+            k,
+            deadline_us: None,
+            recall_target: 1.0,
+            sketch: DistSketch::uniform(),
+        })
+        .collect();
+    let mut batches = coalesce(pending, datas.len());
+    assert_eq!(batches.len(), 1);
+    batches.pop().unwrap()
+}
+
+/// A dispatcher whose plan table routes this exact shape to `algo`.
+fn routed_to(algo: TunedAlgo, n: usize, k: usize, batch: usize) -> SelectK {
+    let shape = ProblemShape::new(n, k, batch).with_sketch(DistSketch::uniform());
+    let mut table = topk_core::tuner::PlanTable::new();
+    table.insert(
+        PlanKey::of(&shape),
+        topk_core::tuner::Plan {
+            algo,
+            predicted_us: 1.0,
+            raw_us: 1.0,
+        },
+    );
+    let tuner = Tuner::new();
+    tuner.load_table_text(&table.to_text()).unwrap();
+    SelectK::with_tuner(tuner)
+}
+
+fn sorted_bits(values: &[f32]) -> Vec<u32> {
+    let mut v: Vec<f32> = values.to_vec();
+    v.sort_by(f32::total_cmp);
+    v.into_iter().map(f32::to_bits).collect()
+}
+
+#[test]
+fn each_batch_is_one_upload_one_sync_and_a_packed_readback() {
+    let (n, k) = (16_384, 64);
+    // (kernel-name marker, routed exact plan, forced approximate rung).
+    // The approximate rungs run at exact-degenerate settings (one
+    // bucket; k′ = K) so every answer can be checked exactly.
+    let cases: [(&str, Option<TunedAlgo>, Option<TunedAlgo>); 6] = [
+        (
+            "iteration_fused",
+            Some(TunedAlgo::Air { bits_per_pass: 11 }),
+            None,
+        ),
+        ("radik", Some(TunedAlgo::RadiK { bits_per_pass: 8 }), None),
+        ("rowwise", Some(TunedAlgo::RowWise), None),
+        ("gridselect", Some(TunedAlgo::Grid), None),
+        (
+            "bucketed",
+            None,
+            Some(TunedAlgo::Bucketed {
+                per_bucket: k as u32,
+            }),
+        ),
+        (
+            "twostage",
+            None,
+            Some(TunedAlgo::TwoStage {
+                partitions: 8,
+                k_prime: k as u32,
+            }),
+        ),
+    ];
+    for (marker, routed, approx) in cases {
+        for b in [1usize, 3, 8] {
+            let datas: Vec<Vec<f32>> = (0..b)
+                .map(|r| generate(Distribution::Normal, n, 500 + r as u64))
+                .collect();
+            let batch = batch_of(&datas, k);
+            let selector = match routed {
+                Some(algo) => routed_to(algo, n, k, b),
+                None => SelectK::default(),
+            };
+            let mut gpu = Gpu::new(DeviceSpec::a100());
+            let outs = run_batch(&mut gpu, &selector, &batch, approx)
+                .unwrap_or_else(|e| panic!("{marker} B={b}: {e}"));
+            let count = |want: fn(&EventKind) -> bool| {
+                gpu.timeline()
+                    .events()
+                    .iter()
+                    .filter(|e| want(&e.kind))
+                    .count()
+            };
+            let case = format!("{marker} B={b}");
+            assert_eq!(count(|e| matches!(e, EventKind::MemcpyHtoD)), 1, "{case}");
+            assert_eq!(count(|e| matches!(e, EventKind::HostSync)), 1, "{case}");
+            assert!(count(|e| matches!(e, EventKind::MemcpyDtoH)) <= 2, "{case}");
+            assert!(
+                gpu.reports().iter().all(|r| r.name.contains(marker)
+                    || (marker == "iteration_fused" && r.name == "last_filter_kernel")
+                    || (marker == "gridselect" && r.name.contains("merge"))),
+                "{case} ran {:?}",
+                gpu.reports().iter().map(|r| &r.name).collect::<Vec<_>>()
+            );
+            assert_eq!(gpu.mem_allocated(), 0, "{case} leaked");
+            assert_eq!(outs.len(), b, "{case}");
+            for (out, data) in outs.iter().zip(&datas) {
+                let (want, _) = topk_cpu::heap_topk(data, k);
+                assert_eq!(out.k, k, "{case}");
+                assert_eq!(sorted_bits(&out.values), sorted_bits(&want), "{case}");
+                verify_topk(data, k, &out.values, &out.indices)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+            }
+        }
+    }
+}
+
+/// Drain three same-shape queries on a one-device pool under `fault`
+/// (scripted as that device's first eligible operation of its kind);
+/// every query must come back verified after one same-device retry,
+/// and the device must end the drain with nothing allocated.
+fn batch_survives(kind: FaultKind, nth: u64) {
+    let plan = FaultPlan::seeded(41).with_scripted(ScriptedFault {
+        device: 0,
+        kind,
+        nth,
+    });
+    let mut engine = TopKEngine::new(EngineConfig::a100_pool(1).with_window(3).with_faults(plan));
+    let datas: Vec<Vec<f32>> = (0..3)
+        .map(|q| generate(Distribution::Uniform, 1 << 14, 600 + q))
+        .collect();
+    for d in &datas {
+        engine.submit(d.clone(), 32).unwrap();
+    }
+    let report = engine.drain();
+    for (r, data) in report.results.iter().zip(&datas) {
+        let got = r
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        verify_topk(data, 32, &got.values, &got.indices).unwrap();
+        assert_eq!(r.served, Served::Gpu { retries: 1 }, "{kind:?}");
+        assert_eq!(r.batch_size, 3);
+    }
+    assert_eq!(report.retries, 1, "{kind:?}");
+    assert_eq!((report.failovers, report.cpu_fallbacks), (0, 0), "{kind:?}");
+    let dev = &report.devices[0];
+    assert_eq!(dev.fault_events.len(), 1, "{kind:?}");
+    assert_eq!(dev.fault_events[0].kind, kind);
+    assert_eq!(dev.mem_allocated_after, 0, "{kind:?} leaked");
+}
+
+#[test]
+fn corrupted_batch_upload_is_retried_leak_free() {
+    // Transfer 0 is the batch's one upload.
+    batch_survives(FaultKind::TransferCorruption, 0);
+}
+
+#[test]
+fn corrupted_batch_readback_is_retried_leak_free() {
+    // Transfer 1 is the batch's one synchronised readback.
+    batch_survives(FaultKind::TransferCorruption, 1);
+}
+
+#[test]
+fn spurious_oom_on_the_batch_matrix_is_retried_leak_free() {
+    // Allocation 0 is the batch's input matrix.
+    batch_survives(FaultKind::Oom, 0);
+}
