@@ -24,6 +24,15 @@ const PID: u32 = 1;
 const TID_DEVICE: u32 = 1;
 const TID_HOST: u32 = 2;
 
+/// Render string-valued args as the members of a JSON object.
+fn json_args(args: &[(&str, String)]) -> String {
+    let members: Vec<String> = args
+        .iter()
+        .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
+        .collect();
+    members.join(",")
+}
+
 fn escape(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
@@ -108,10 +117,6 @@ impl TraceBuilder {
         dur_us: f64,
         args: &[(&str, String)],
     ) {
-        let rendered: Vec<String> = args
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
-            .collect();
         self.out.push_str(&format!(
             ",{{\"ph\":\"X\",\"pid\":{PID},\"tid\":{tid},\"cat\":\"{}\",\
              \"name\":\"{}\",\"ts\":{:.3},\"dur\":{:.3},\"args\":{{{}}}}}",
@@ -119,7 +124,27 @@ impl TraceBuilder {
             escape(name),
             start_us,
             dur_us,
-            rendered.join(",")
+            json_args(args)
+        ));
+    }
+
+    /// Append an instant event (`"ph":"i"`, thread scope) on `tid`
+    /// with string-valued args — a point in time rather than a span.
+    pub fn instant_with_args(
+        &mut self,
+        tid: u32,
+        cat: &str,
+        name: &str,
+        at_us: f64,
+        args: &[(&str, String)],
+    ) {
+        self.out.push_str(&format!(
+            ",{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{PID},\"tid\":{tid},\"cat\":\"{}\",\
+             \"name\":\"{}\",\"ts\":{:.3},\"args\":{{{}}}}}",
+            escape(cat),
+            escape(name),
+            at_us,
+            json_args(args)
         ));
     }
 

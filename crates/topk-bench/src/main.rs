@@ -25,7 +25,10 @@
 //!   report [--out DIR]    build DIR/report.html (inline-SVG charts) from the CSVs
 //! ```
 //!
-//! CSV output lands in `--out` (default `bench-results/`).
+//! CSV output lands in `--out` (default `bench-results/`). Under
+//! `--verify`, every figure and the engine sweep check each answer
+//! against the host reference; a failed check names its row on stderr
+//! and the command exits 1 once its outputs are written.
 
 use std::path::PathBuf;
 use topk_bench::figures::{self, FigOpts};
@@ -320,6 +323,7 @@ fn main() {
         }
     };
 
+    // Write `name.csv` and return the rows that failed `--verify`.
     let save = |name: &str, rows: &[Row]| {
         let path = out_dir.join(format!("{name}.csv"));
         write_csv(&path, rows).unwrap_or_else(|e| eprintln!("cannot write {path:?}: {e}"));
@@ -328,9 +332,24 @@ fn main() {
             rows.len(),
             path.display()
         );
+        failed_rows(rows)
     };
 
-    let run_table2 = |out_dir: &PathBuf, opts: &FigOpts| {
+    // The engine sweep: its table, `engine.csv`, `engine_ladder.csv`
+    // (degradation-ladder counts) and every failed `--verify` check.
+    let save_engine = |points: &[topk_bench::serving::EnginePoint]| {
+        println!("\n{}", topk_bench::serving::render(points));
+        for f in points.iter().flat_map(|p| &p.verify_failures) {
+            eprintln!("VERIFICATION FAILED: TopKEngine {f}");
+        }
+        let failed = save("engine", &topk_bench::serving::to_rows(points, opts.full));
+        let path = out_dir.join("engine_ladder.csv");
+        std::fs::write(&path, topk_bench::serving::ladder_csv(points))
+            .unwrap_or_else(|e| eprintln!("cannot write {path:?}: {e}"));
+        failed
+    };
+
+    let run_table2 = |out_dir: &PathBuf, opts: &FigOpts| -> Vec<String> {
         // Prefer previously measured fig6/fig7 grids; fall back to
         // running them now.
         let mut rows = Vec::new();
@@ -356,9 +375,10 @@ fn main() {
         std::fs::write(out_dir.join("table2.txt"), &t).ok();
         // The paper artifact's `speedup.csv`.
         std::fs::write(out_dir.join("speedup.csv"), figures::table2_csv(&rows)).ok();
+        failed_rows(&rows)
     };
 
-    match cmd.as_str() {
+    let failed = match cmd.as_str() {
         "fig6" => save("fig6", &figures::fig6(&opts)),
         "fig7" => save("fig7", &figures::fig7(&opts)),
         "table2" => run_table2(&out_dir, &opts),
@@ -375,12 +395,14 @@ fn main() {
                     p.display()
                 );
             }
+            Vec::new()
         }
         "table3" => {
             let t = figures::table3(&opts);
             println!("{t}");
             std::fs::create_dir_all(&out_dir).ok();
             std::fs::write(out_dir.join("table3.txt"), &t).ok();
+            Vec::new()
         }
         "fig9" => save("fig9", &figures::fig9(&opts)),
         "fig10" => save("fig10", &figures::fig10(&opts)),
@@ -390,8 +412,7 @@ fn main() {
         "engine" => {
             let eopts = engine_opts(&opts, &faults);
             let points = topk_bench::serving::engine_throughput(&eopts);
-            println!("\n{}", topk_bench::serving::render(&points));
-            save("engine", &topk_bench::serving::to_rows(&points, opts.full));
+            let failed = save_engine(&points);
             save_observability(&eopts, &metrics_out, &trace_out);
             save_digest(&eopts, &digest_out);
             save_profile(&eopts, &profile_out, &postmortem_dir);
@@ -407,6 +428,7 @@ fn main() {
                 }
                 eprintln!("[topk-bench] recall floor {target} held across the sweep");
             }
+            failed
         }
         "profile" => {
             let eopts = engine_opts(&opts, &faults);
@@ -437,10 +459,12 @@ fn main() {
                     Err(e) => eprintln!("cannot write {}: {e}", path.display()),
                 }
             }
+            Vec::new()
         }
         "all" => {
-            save("fig6", &figures::fig6(&opts));
-            save("fig7", &figures::fig7(&opts));
+            let mut failed = save("fig6", &figures::fig6(&opts));
+            failed.extend(save("fig7", &figures::fig7(&opts)));
+            // Table 2 re-reads the fig6/fig7 rows counted just above.
             run_table2(&out_dir, &opts);
             let t = figures::fig8(&opts);
             println!("{t}");
@@ -451,21 +475,43 @@ fn main() {
             let t = figures::table3(&opts);
             println!("{t}");
             std::fs::write(out_dir.join("table3.txt"), &t).ok();
-            save("fig9", &figures::fig9(&opts));
-            save("fig10", &figures::fig10(&opts));
-            save("fig11", &figures::fig11(&opts));
-            save("fig12", &figures::fig12(&opts));
-            save("fig13", &figures::fig13(&opts));
+            failed.extend(save("fig9", &figures::fig9(&opts)));
+            failed.extend(save("fig10", &figures::fig10(&opts)));
+            failed.extend(save("fig11", &figures::fig11(&opts)));
+            failed.extend(save("fig12", &figures::fig12(&opts)));
+            failed.extend(save("fig13", &figures::fig13(&opts)));
             let eopts = engine_opts(&opts, &faults);
             let points = topk_bench::serving::engine_throughput(&eopts);
-            println!("\n{}", topk_bench::serving::render(&points));
-            save("engine", &topk_bench::serving::to_rows(&points, opts.full));
+            failed.extend(save_engine(&points));
             save_observability(&eopts, &metrics_out, &trace_out);
             save_digest(&eopts, &digest_out);
             save_profile(&eopts, &profile_out, &postmortem_dir);
+            failed
         }
         _ => usage(),
+    };
+    // Under `--verify`, a wrong answer is a failed run, as in `compare`.
+    if !failed.is_empty() {
+        eprintln!(
+            "[topk-bench] {cmd}: {} rows failed verification: {}",
+            failed.len(),
+            failed.join("; ")
+        );
+        std::process::exit(1);
     }
+}
+
+/// Labels of the rows whose `--verify` check failed.
+fn failed_rows(rows: &[Row]) -> Vec<String> {
+    rows.iter()
+        .filter(|r| !r.verified)
+        .map(|r| {
+            format!(
+                "{} on {} ({}) n={} k={} batch={}",
+                r.algo, r.device, r.workload, r.n, r.k, r.batch
+            )
+        })
+        .collect()
 }
 
 /// Write each post-mortem JSON document to `dir/postmortem-N.json`.

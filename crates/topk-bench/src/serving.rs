@@ -92,6 +92,9 @@ pub struct EnginePoint {
     pub failovers: u64,
     /// Queries degraded to the host heap path.
     pub cpu_fallbacks: u64,
+    /// Attempts abandoned at their overdue instant
+    /// ([`DrainReport::overdue`]).
+    pub overdue: u64,
     /// Queries that terminated with `DeadlineExceeded`.
     pub deadline_misses: u64,
     /// Dispatches served from the tuner's cached plan table.
@@ -113,6 +116,9 @@ pub struct EnginePoint {
     /// Mean *measured* recall over successful queries, re-checked on
     /// the host — only computed under `--verify` (`None` otherwise).
     pub mean_measured_recall: Option<f64>,
+    /// One message per query that failed its `--verify` check (empty
+    /// when verification passed or was not requested).
+    pub verify_failures: Vec<String>,
 }
 
 /// The mixed query stream every sweep point drains: four interleaved
@@ -190,6 +196,7 @@ pub fn engine_throughput(opts: &EngineBenchOpts) -> Vec<EnginePoint> {
                 opts.recall_target,
             );
             let mut measured: Vec<f64> = Vec::new();
+            let mut verify_failures = Vec::new();
             if opts.verify {
                 for (r, (data, k)) in report.results.iter().zip(&workload) {
                     // Under injected faults or deadlines, errors are
@@ -202,12 +209,15 @@ pub fn engine_throughput(opts: &EngineBenchOpts) -> Vec<EnginePoint> {
                         // multiset; re-check them as measured recall
                         // against the host reference instead.
                         Ok(out) if approx => measured.push(measured_recall(data, *k, &out.values)),
-                        Ok(out) => {
-                            verify_topk(data, *k, &out.values, &out.indices)
-                                .unwrap_or_else(|e| panic!("query {}: {e}", r.id));
-                            measured.push(1.0);
+                        Ok(out) => match verify_topk(data, *k, &out.values, &out.indices) {
+                            Ok(()) => measured.push(1.0),
+                            Err(e) => {
+                                verify_failures.push(format!("window {window} q{}: {e}", r.id))
+                            }
+                        },
+                        Err(e) if strict => {
+                            verify_failures.push(format!("window {window} q{}: {e}", r.id))
                         }
-                        Err(e) if strict => panic!("query {}: {e}", r.id),
                         Err(_) => {}
                     }
                 }
@@ -225,6 +235,7 @@ pub fn engine_throughput(opts: &EngineBenchOpts) -> Vec<EnginePoint> {
                 retries: report.retries,
                 failovers: report.failovers,
                 cpu_fallbacks: report.cpu_fallbacks,
+                overdue: report.overdue,
                 deadline_misses: report.deadline_misses,
                 plan_hits: report.algo.tuner_plan_hits,
                 plan_misses: report.algo.tuner_plan_misses,
@@ -239,6 +250,7 @@ pub fn engine_throughput(opts: &EngineBenchOpts) -> Vec<EnginePoint> {
                 } else {
                     Some(measured.iter().sum::<f64>() / measured.len() as f64)
                 },
+                verify_failures,
             }
         })
         .collect()
@@ -249,13 +261,13 @@ pub fn render(points: &[EnginePoint]) -> String {
     let mut out = String::from(
         "=== TopKEngine throughput vs coalescing window ===\n\
          window  devices  queries  fused  queries/sec  makespan_us  mean_lat_us  p50_lat_us  p99_lat_us  \
-         retries  failovers  fallbacks  dl_miss  plan_hit  replan  refine  \
+         retries  failovers  fallbacks  overdue  dl_miss  plan_hit  replan  refine  \
          2stage  bucket  rec_p50  rec_p99  rec_meas\n",
     );
     for p in points {
         out.push_str(&format!(
             "{:>6}  {:>7}  {:>7}  {:>5}  {:>11.0}  {:>11.1}  {:>11.1}  {:>10.1}  {:>10.1}  \
-             {:>7}  {:>9}  {:>9}  {:>7}  {:>8}  {:>6}  {:>6}  \
+             {:>7}  {:>9}  {:>9}  {:>7}  {:>7}  {:>8}  {:>6}  {:>6}  \
              {:>6}  {:>6}  {:>7.4}  {:>7.4}  {:>8}\n",
             p.window,
             p.devices,
@@ -269,6 +281,7 @@ pub fn render(points: &[EnginePoint]) -> String {
             p.retries,
             p.failovers,
             p.cpu_fallbacks,
+            p.overdue,
             p.deadline_misses,
             p.plan_hits,
             p.plan_misses,
@@ -399,9 +412,36 @@ pub fn to_rows(points: &[EnginePoint], full: bool) -> Vec<Row> {
             kernels: 0,
             pcie_us: 0.0,
             idle_us: p.mean_latency_us,
-            verified: true,
+            verified: p.verify_failures.is_empty(),
         })
         .collect()
+}
+
+/// The degradation-ladder counts of a sweep as CSV (`engine_ladder.csv`):
+/// one line per window with the retry, failover, fallback, overdue,
+/// deadline-miss and approximate-rung counts the generic
+/// [`Row`] schema has no columns for.
+pub fn ladder_csv(points: &[EnginePoint]) -> String {
+    let mut out = String::from(
+        "window,devices,queries,retries,failovers,cpu_fallbacks,overdue,deadline_misses,\
+         approx_two_stage,approx_bucketed\n",
+    );
+    for p in points {
+        out.push_str(&format!(
+            "{},{},{},{},{},{},{},{},{},{}\n",
+            p.window,
+            p.devices,
+            p.queries,
+            p.retries,
+            p.failovers,
+            p.cpu_fallbacks,
+            p.overdue,
+            p.deadline_misses,
+            p.approx_two_stage,
+            p.approx_bucketed
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -455,6 +495,7 @@ mod tests {
         let rows = to_rows(&points, false);
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].batch, 1);
+        assert!(rows.iter().all(|r| r.verified));
     }
 
     #[test]
@@ -496,6 +537,21 @@ mod tests {
         assert!(table.contains("retries"));
         assert!(table.contains("failovers"));
         assert!(table.contains("fallbacks"));
+        assert!(table.contains("overdue"));
+        let p = &points[0];
+        let csv = ladder_csv(&points);
+        assert!(csv.starts_with("window,devices,queries,retries,failovers,cpu_fallbacks,overdue,"));
+        assert!(csv.ends_with(&format!(
+            ",{},{},{},{},{},{},{}\n",
+            p.retries,
+            p.failovers,
+            p.cpu_fallbacks,
+            p.overdue,
+            p.deadline_misses,
+            p.approx_two_stage,
+            p.approx_bucketed
+        )));
+        assert!(p.verify_failures.is_empty(), "{:?}", p.verify_failures);
         // The digest is a pure function of the options.
         assert_eq!(chaos_digest(&opts), chaos_digest(&opts));
     }

@@ -20,13 +20,14 @@
 use std::collections::VecDeque;
 
 /// Event kinds that trigger a post-mortem dump: a terminal query
-/// failure, a missed deadline, a breaker trip, or a device retired
-/// from the pool.
-pub const TRIGGER_KINDS: [&str; 4] = [
+/// failure, a missed deadline, a breaker trip, a device retired from
+/// the pool, or an attempt abandoned at its overdue instant.
+pub const TRIGGER_KINDS: [&str; 5] = [
     "query_failed",
     "deadline_miss",
     "breaker_open",
     "device_failed",
+    "overdue",
 ];
 
 /// One recorded engine event.
@@ -41,7 +42,10 @@ pub struct FlightEvent {
     /// Stable snake_case event kind (`submit`, `coalesce`, `launch`,
     /// `degrade_rung`, `batch_ok`, `device_fault`, `retry`,
     /// `deadline_miss`, `query_failed`, `fallback`, `breaker_open`,
-    /// `device_failed`, `worker_panic`, `queue_reject`).
+    /// `device_failed`, `worker_panic`, `overdue`, `queue_reject`).
+    /// `overdue` marks the instant the host abandoned an attempt that
+    /// outran `OVERDUE_FACTOR` × its predicted budget; its detail
+    /// carries the attempt number, the budget and that instant.
     /// `degrade_rung` records an accuracy-ladder transition — its
     /// detail carries the chosen rung, the triggering cause
     /// (`deadline_risk` or `capacity_loss`), the batch's recall target

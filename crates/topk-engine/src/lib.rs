@@ -55,6 +55,11 @@
 //!   cooldown; a worker panic or a device hang marks the device
 //!   **failed** for good, and `drain` never aborts — the panic is
 //!   captured and the batch rescheduled.
+//! * Every attempt is priced before it starts; one still running at
+//!   [`OVERDUE_FACTOR`] × its budget is abandoned at that instant and
+//!   its device retired, so a hang costs its queries the overdue
+//!   instant rather than the full watchdog timeout
+//!   ([`BatchRecord::overdue_us`], [`DrainReport::overdue`]).
 //! * When the retry budget or the device pool is exhausted, queries
 //!   degrade to the `topk-cpu` reference path (unless
 //!   [`EngineConfig::with_cpu_fallback`] disables it, in which case
@@ -122,6 +127,7 @@ pub use gpu_sim::{
 };
 
 use crate::flight::PmDevice;
+use gpu_sim::cost::memcpy_cost;
 use gpu_sim::{Backend, BackendExt, DeviceSpec, EventKind, Gpu, KernelReport, SimError};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -141,6 +147,19 @@ pub const POST_MORTEM_CAP: usize = 16;
 /// within `deadline / DEADLINE_SAFETY` of the deadline already counts
 /// as risky, absorbing cost-model error before it becomes a miss.
 pub const DEADLINE_SAFETY: f64 = 1.5;
+
+/// How far past its predicted budget an attempt may run before the
+/// host gives up on it. Every attempt is priced before it starts (the
+/// batch's transfer model plus the tuner's calibrated prediction for
+/// the plan or rung it runs); an attempt still unfinished at
+/// `start + OVERDUE_FACTOR × budget` is abandoned at that instant, its
+/// device retired and its job requeued or degraded — without waiting
+/// for the watchdog. The rule reads simulated time and
+/// predictions only, never the fault kind. On the `serve-chaos`
+/// benchmark mix (4× stragglers, 8× transfer stalls, seeds 1, 3, 7, 11
+/// and 42) healthy attempts ran at most 13.4× their budget and hung
+/// ones at least 197×.
+pub const OVERDUE_FACTOR: f64 = 16.0;
 
 /// Bounded-retry policy for device faults, with simulated exponential
 /// backoff between attempts.
@@ -604,8 +623,18 @@ pub struct BatchRecord {
     pub report_range: (usize, usize),
     /// Drain-relative device clock when the batch started, µs.
     pub start_us: f64,
-    /// Drain-relative device clock when the batch finished, µs.
+    /// Drain-relative device clock when the batch finished, µs. This
+    /// is device truth: an abandoned attempt still ends where the
+    /// device finished it (for a hang, after the full watchdog).
     pub end_us: f64,
+    /// The attempt's predicted budget, µs: its transfer model plus the
+    /// tuner's prediction for the plan or rung it ran (infinite when
+    /// the dispatcher has no tuner to predict with).
+    pub budget_us: f64,
+    /// Drain-relative instant the host declared the attempt overdue
+    /// (`start_us + OVERDUE_FACTOR × budget_us`) and abandoned it;
+    /// `None` when the attempt finished by then.
+    pub overdue_us: Option<f64>,
     /// Where the batch's device time went (transfer vs. kernel vs.
     /// merge vs. overhead); `queue_wait_us` is the batch's start time.
     pub stages: StageBreakdown,
@@ -644,10 +673,10 @@ pub struct DeviceReport {
     /// Earlier drains' launches on the same persistent device are
     /// deliberately excluded.
     pub kernel_reports: Vec<KernelReport>,
-    /// Whether the device is marked failed (worker panic or device
-    /// hang) — it takes no further work for the engine's lifetime. A
-    /// failed device may legitimately hold leaked scratch bytes from
-    /// its mid-flight batch.
+    /// Whether the device is marked failed (worker panic, device hang
+    /// or an overdue attempt) — it takes no further work for the
+    /// engine's lifetime. A failed device may legitimately hold leaked
+    /// scratch bytes from its mid-flight batch.
     pub failed: bool,
     /// Whether the device was still inside a circuit-breaker
     /// quarantine when the drain finished.
@@ -696,6 +725,9 @@ pub struct DrainReport {
     pub deadline_misses: u64,
     /// Circuit-breaker quarantines tripped during this drain.
     pub quarantines: u64,
+    /// Attempts the host abandoned at their overdue instant (batches
+    /// whose [`BatchRecord::overdue_us`] is set).
+    pub overdue: u64,
     /// Sanitizer occurrences over all pool devices during this drain
     /// (sum of every [`DeviceReport::sanitizer`]). Deliberately *not*
     /// folded into [`DrainReport::chaos_digest`]: digests stay
@@ -713,6 +745,13 @@ pub struct DrainReport {
 
 impl DrainReport {
     /// Simulated makespan: the busiest device's clock, µs.
+    ///
+    /// Device truth, not the host's view: a device retired because an
+    /// attempt went overdue keeps running that attempt until it ends
+    /// (a hang only ends when the watchdog fires), and its clock —
+    /// hence this makespan and [`DrainReport::queries_per_sec`] —
+    /// counts that time even though the host stopped waiting at the
+    /// overdue instant.
     pub fn makespan_us(&self) -> f64 {
         self.devices
             .iter()
@@ -950,6 +989,13 @@ struct Batch {
     queries: Vec<Pending>,
 }
 
+impl Batch {
+    /// The fused launch's problem shape, as the tuner prices it.
+    fn shape(&self) -> ProblemShape {
+        ProblemShape::new(self.n, self.k, self.queries.len()).with_sketch(self.sketch)
+    }
+}
+
 /// A schedulable unit of the drain: one batch plus its retry state.
 struct Job {
     batch: Batch,
@@ -975,7 +1021,8 @@ struct HealthState {
     /// Absolute device-clock time until which the device is
     /// quarantined.
     quarantined_until_us: f64,
-    /// Permanently failed (worker panic or device hang).
+    /// Permanently failed (worker panic, device hang or an overdue
+    /// attempt).
     failed: bool,
     /// Lifetime device faults.
     total_faults: u64,
@@ -1467,6 +1514,12 @@ impl TopKEngine {
         let mut records: Vec<Vec<BatchRecord>> = vec![Vec::new(); n_dev];
         let mut retries: u64 = 0;
         let mut retry_penalty_us: f64 = 0.0;
+        // When the host last heard from each device, drain-relative:
+        // the end of its last attempt, or the overdue instant at which
+        // the host abandoned one. A device retired for an overdue
+        // attempt keeps running on its own clock; the host's view
+        // stops here.
+        let mut host_seen = vec![0.0_f64; n_dev];
 
         while !jobs.is_empty() {
             // Earliest-runnable job first; stable on ties so the
@@ -1494,10 +1547,8 @@ impl TopKEngine {
             }
             let Some((dev, start_at)) = best else {
                 // Pool exhausted: every device failed. Degrade at the
-                // latest clock any device reached.
-                let now = (0..n_dev)
-                    .map(|d| self.gpus[d].elapsed_us() - drain_t0[d])
-                    .fold(job.not_before_us, f64::max);
+                // latest time the host heard from any device.
+                let now = host_seen.iter().copied().fold(job.not_before_us, f64::max);
                 let step_seq = self.flight.recorded();
                 degrade_job(job, now, &self.config, &mut results, &mut self.flight);
                 self.maybe_post_mortem(
@@ -1544,6 +1595,8 @@ impl TopKEngine {
                 healthy,
                 n_dev,
             );
+            let approx = rung.as_ref().map(|c| c.algo);
+            let budget_us = attempt_budget_us(&job.batch, self.gpus[dev].spec(), &selector, approx);
             if let Some(choice) = &rung {
                 self.flight.record(
                     "degrade_rung",
@@ -1573,13 +1626,15 @@ impl TopKEngine {
             let outcome = {
                 let gpu = self.gpus[dev].as_mut();
                 let batch = &job.batch;
-                let approx = rung.as_ref().map(|c| c.algo);
                 catch_unwind(AssertUnwindSafe(|| {
                     run_batch(gpu, &selector, batch, approx)
                 }))
             };
             self.gpus[dev].clear_span();
             let end_us = self.gpus[dev].elapsed_us() - drain_t0[dev];
+            let overdue_at = start_us + OVERDUE_FACTOR * budget_us;
+            let overdue = end_us > overdue_at;
+            host_seen[dev] = if overdue { overdue_at } else { end_us };
             let stages = batch_stages(
                 self.gpus[dev].as_ref(),
                 timeline_lo,
@@ -1601,10 +1656,52 @@ impl TopKEngine {
                 ),
                 start_us,
                 end_us,
+                budget_us,
+                overdue_us: overdue.then_some(overdue_at),
                 stages,
             });
 
             match outcome {
+                _ if overdue => {
+                    // Timing alone decides: hung, stalled or merely
+                    // late, the attempt had not finished when the host
+                    // stopped waiting. Its outcome is discarded (even
+                    // an answer), the device is retired as a hang
+                    // would retire it, and the job moves on from the
+                    // overdue instant instead of the watchdog.
+                    self.flight.record(
+                        "overdue",
+                        Some(dev),
+                        Some(job.batch.span),
+                        overdue_at,
+                        format!(
+                            "attempt={} budget_us={budget_us:.1} overdue_at_us={overdue_at:.1}",
+                            job.attempts
+                        ),
+                    );
+                    let clock = self.gpus[dev].elapsed_us();
+                    note_fault(&mut self.health[dev], true, &self.config.breaker, clock);
+                    self.flight.record(
+                        "device_failed",
+                        Some(dev),
+                        None,
+                        overdue_at,
+                        "overdue".to_string(),
+                    );
+                    job.last_error = Some(TopKError::Sim(SimError::DeviceHang {
+                        timeout_us: (overdue_at - start_us).ceil() as u64,
+                    }));
+                    requeue_or_degrade(
+                        job,
+                        overdue_at,
+                        &self.config,
+                        &mut jobs,
+                        &mut results,
+                        &mut retries,
+                        &mut retry_penalty_us,
+                        &mut self.flight,
+                    );
+                }
                 Ok(Ok(outs)) => {
                     self.health[dev].consecutive_faults = 0;
                     // Close the tuning loop: the batch's measured
@@ -1613,9 +1710,7 @@ impl TopKEngine {
                     // never pollute the exact cost model they were
                     // chosen to undercut.
                     if rung.is_none() {
-                        let shape =
-                            ProblemShape::new(job.batch.n, job.batch.k, job.batch.queries.len())
-                                .with_sketch(job.batch.sketch);
+                        let shape = job.batch.shape();
                         // Drift accounting reads the plan this dispatch
                         // was priced with *before* observe() can replan
                         // the bucket — counter-neutrally, so plan-table
@@ -1873,6 +1968,11 @@ impl TopKEngine {
             .count() as u64;
         let quarantines =
             self.health.iter().map(|h| h.quarantines).sum::<u64>() - quarantines_before;
+        let overdue = devices
+            .iter()
+            .flat_map(|d| &d.batches)
+            .filter(|b| b.overdue_us.is_some())
+            .count() as u64;
         let mut sanitizer = SanitizerCounts::default();
         for d in &devices {
             sanitizer.add(&d.sanitizer);
@@ -1904,6 +2004,7 @@ impl TopKEngine {
             approx_bucketed,
             deadline_misses,
             quarantines,
+            overdue,
             sanitizer,
             stages,
         };
@@ -2111,17 +2212,10 @@ fn decide_rung(
     if batch.recall_target >= 1.0 {
         return None;
     }
-    let shape = ProblemShape::new(batch.n, batch.k, batch.queries.len()).with_sketch(batch.sketch);
+    let shape = batch.shape();
     let capacity_loss = healthy * 2 <= pool;
     let earliest_deadline = batch.queries.iter().filter_map(|q| q.deadline_us).min();
-    let exact_us = selector.tuner().and_then(|t| {
-        t.peek(&shape).map(|p| p.predicted_us).or_else(|| {
-            Tuner::candidates(spec, &shape)
-                .into_iter()
-                .filter_map(|a| t.predict_us(spec, &shape, a))
-                .min_by(f64::total_cmp)
-        })
-    });
+    let exact_us = predict_attempt_us(selector, spec, &shape, None);
     let misses = |predicted: Option<f64>| match (earliest_deadline, predicted) {
         (Some(dl), Some(us)) => start_us + us * DEADLINE_SAFETY > dl as f64,
         _ => false,
@@ -2138,10 +2232,7 @@ fn decide_rung(
     let mut chosen = None;
     for algo in Tuner::approx_candidates(spec, &shape, batch.recall_target) {
         chosen = Some(algo);
-        let predicted = selector
-            .tuner()
-            .and_then(|t| t.predict_us(spec, &shape, algo));
-        if !misses(predicted) {
+        if !misses(predict_attempt_us(selector, spec, &shape, Some(algo))) {
             break;
         }
     }
@@ -2163,8 +2254,52 @@ fn decide_rung(
     })
 }
 
+/// The tuner's calibrated prediction for one attempt, µs: the
+/// approximate configuration `approx` when set, otherwise the exact
+/// path — the tuner's cached plan for the shape's bucket, or the
+/// cheapest cold prediction over the exact candidate set. `None`
+/// without a tuner (or for a configuration the device cannot run).
+fn predict_attempt_us(
+    selector: &SelectK,
+    spec: &DeviceSpec,
+    shape: &ProblemShape,
+    approx: Option<TunedAlgo>,
+) -> Option<f64> {
+    let t = selector.tuner()?;
+    match approx {
+        Some(algo) => t.predict_us(spec, shape, algo),
+        None => t.peek(shape).map(|p| p.predicted_us).or_else(|| {
+            Tuner::candidates(spec, shape)
+                .into_iter()
+                .filter_map(|a| t.predict_us(spec, shape, a))
+                .min_by(f64::total_cmp)
+        }),
+    }
+}
+
+/// The predicted budget of one batch attempt, µs: the per-batch
+/// transfer model (one H2D upload of every row, one host sync, the
+/// packed D2H values/indices pair) plus [`predict_attempt_us`] for the
+/// plan or rung it runs. Infinite without a prediction, so such an
+/// attempt is never declared overdue and only the watchdog ends it.
+fn attempt_budget_us(
+    batch: &Batch,
+    spec: &DeviceSpec,
+    selector: &SelectK,
+    approx: Option<TunedAlgo>,
+) -> f64 {
+    use std::mem::size_of;
+    let rows = batch.queries.len();
+    let transfer_us = memcpy_cost(spec, rows * batch.n * size_of::<f32>())
+        + spec.host_sync_us
+        + memcpy_cost(spec, rows * batch.k * size_of::<f32>())
+        + memcpy_cost(spec, rows * batch.k * size_of::<u32>());
+    let predicted = predict_attempt_us(selector, spec, &batch.shape(), approx);
+    transfer_us + predicted.unwrap_or(f64::INFINITY)
+}
+
 /// Fold one device fault into the breaker state: severe faults (hang,
-/// panic) fail the device outright; otherwise `threshold` consecutive
+/// panic, overdue attempt) fail the device outright; otherwise `threshold` consecutive
 /// faults trip a quarantine until `cooldown_us` past `clock_us`.
 fn note_fault(health: &mut HealthState, severe: bool, breaker: &BreakerConfig, clock_us: f64) {
     health.total_faults += 1;

@@ -27,6 +27,7 @@
 //! | `topk_engine_est_recall` | histogram | per-query estimated recall (successful queries) |
 //! | `topk_engine_deadline_misses_total` | counter | terminal deadline failures |
 //! | `topk_engine_quarantines_total` | counter | circuit-breaker trips |
+//! | `topk_engine_overdue_total` | counter | attempts abandoned at their overdue instant |
 //! | `topk_engine_faults_injected_total{kind}` | counter | injected faults per [`FaultKind`] |
 //! | `topk_engine_quarantined_devices` | gauge | devices currently quarantined |
 //! | `topk_engine_failed_devices` | gauge | devices permanently failed |
@@ -81,6 +82,7 @@ pub struct EngineMetrics {
     pub(crate) est_recall: Arc<Histogram>,
     pub(crate) deadline_misses: Arc<Counter>,
     pub(crate) quarantines: Arc<Counter>,
+    pub(crate) overdue: Arc<Counter>,
     pub(crate) faults_injected: Vec<Arc<Counter>>,
     pub(crate) quarantined_devices: Arc<Gauge>,
     pub(crate) failed_devices: Arc<Gauge>,
@@ -196,6 +198,10 @@ impl EngineMetrics {
                 "topk_engine_quarantines_total",
                 "Circuit-breaker quarantines tripped on pool devices",
             ),
+            overdue: registry.counter(
+                "topk_engine_overdue_total",
+                "Batch attempts the host abandoned at start + OVERDUE_FACTOR x predicted budget",
+            ),
             faults_injected: FaultKind::ALL
                 .iter()
                 .map(|kind| {
@@ -212,7 +218,7 @@ impl EngineMetrics {
             ),
             failed_devices: registry.gauge(
                 "topk_engine_failed_devices",
-                "Pool devices permanently failed (panic or hang)",
+                "Pool devices permanently failed (panic, hang or overdue attempt)",
             ),
             air_passes: registry.counter(
                 "topk_air_passes_total",
@@ -345,6 +351,7 @@ impl EngineMetrics {
         self.approx_bucketed.add(report.approx_bucketed);
         self.deadline_misses.add(report.deadline_misses);
         self.quarantines.add(report.quarantines);
+        self.overdue.add(report.overdue);
         for d in &report.devices {
             for fe in &d.fault_events {
                 let slot = FaultKind::ALL

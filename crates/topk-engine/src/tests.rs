@@ -550,6 +550,14 @@ fn pool_exhaustion_degrades_to_cpu_fallback() {
     verify_topk(&data, 48, &got.values, &got.indices).unwrap();
     assert_eq!(report.cpu_fallbacks, 1);
     assert!(report.devices[0].failed, "hung device is retired");
+    // The host gave up at the overdue instant, not the watchdog: after
+    // one retry backoff the empty pool degrades, and the CPU answer
+    // lands one `cpu_select_us` later.
+    let hung = &report.devices[0].batches[0];
+    let at = hung.overdue_us.expect("the hung attempt went overdue");
+    let backoff = RetryPolicy::default().backoff_us;
+    assert_eq!(r.latency_us, (at + backoff) + cpu_select_us(4096));
+    assert!(r.latency_us < hung.end_us, "answered before the watchdog");
 }
 
 #[test]
@@ -1139,4 +1147,116 @@ fn corrupted_batch_readback_is_retried_leak_free() {
 fn spurious_oom_on_the_batch_matrix_is_retried_leak_free() {
     // Allocation 0 is the batch's input matrix.
     batch_survives(FaultKind::Oom, 0);
+}
+
+// ---- overdue detection ----------------------------------------------------
+
+/// The retained `overdue` flight events.
+fn overdue_events(engine: &TopKEngine) -> Vec<FlightEvent> {
+    engine
+        .flight_recorder()
+        .events()
+        .filter(|e| e.kind == "overdue")
+        .cloned()
+        .collect()
+}
+
+#[test]
+fn scripted_hang_is_abandoned_at_its_overdue_instant() {
+    let plan = FaultPlan::seeded(41).with_scripted(ScriptedFault {
+        device: 0,
+        kind: FaultKind::DeviceHang,
+        nth: 0,
+    });
+    let timeout_us = plan.hang_timeout_us as f64;
+    let mut engine = TopKEngine::new(EngineConfig::a100_pool(2).with_window(4).with_faults(plan));
+    let inputs: Vec<Vec<f32>> = (0..4)
+        .map(|q| generate(Distribution::Uniform, 1 << 14, 600 + q))
+        .collect();
+    for data in &inputs {
+        engine.submit(data.clone(), 32).unwrap();
+    }
+    let report = engine.drain();
+
+    // One fused batch hangs on device 0; device 1 answers it long
+    // before the watchdog would have fired.
+    for (r, data) in report.results.iter().zip(&inputs) {
+        assert_eq!((r.device, r.served), (1, Served::Failover { retries: 1 }));
+        let out = r.outcome.as_ref().unwrap();
+        verify_topk(data, 32, &out.values, &out.indices).unwrap();
+        assert!(
+            r.latency_us < timeout_us / 10.0,
+            "q{} answered at {} µs",
+            r.id,
+            r.latency_us
+        );
+    }
+    assert!(report.devices[0].failed, "the overdue device is retired");
+    assert!(!report.devices[1].failed);
+    assert_eq!(report.overdue, 1);
+
+    // Device truth stays: the hung attempt still ends after the full
+    // watchdog, and the makespan counts it.
+    let hung = &report.devices[0].batches[0];
+    let at = hung.overdue_us.expect("the hung attempt went overdue");
+    assert_eq!(at, hung.start_us + OVERDUE_FACTOR * hung.budget_us);
+    assert!(hung.end_us >= hung.start_us + timeout_us);
+    assert!(report.makespan_us() >= timeout_us);
+
+    // One flight event carries the budget and the overdue instant.
+    let events = overdue_events(&engine);
+    assert_eq!(events.len(), 1, "{events:?}");
+    let e = &events[0];
+    assert_eq!((e.device, e.t_us), (Some(0), at));
+    assert!(e
+        .detail
+        .contains(&format!("budget_us={:.1}", hung.budget_us)));
+    assert!(e.detail.contains(&format!("overdue_at_us={at:.1}")));
+    assert!(
+        engine
+            .post_mortems()
+            .iter()
+            .any(|pm| pm.contains("\"trigger\": \"overdue\"")),
+        "an overdue attempt dumps a post-mortem"
+    );
+}
+
+#[test]
+fn late_answer_is_discarded_at_the_overdue_instant() {
+    // No hang at all: the upload stalls 10,000x, so the attempt does
+    // finish with a correct answer, just far too late. The host cannot
+    // tell that from a hang, so it abandons the attempt the same way.
+    let plan = FaultPlan {
+        stall_multiplier: 10_000.0,
+        ..FaultPlan::seeded(43)
+    }
+    .with_scripted(ScriptedFault {
+        device: 0,
+        kind: FaultKind::TransferStall,
+        nth: 0,
+    });
+    let mut engine = TopKEngine::new(EngineConfig::a100_pool(2).with_faults(plan));
+    let data = generate(Distribution::Uniform, 1 << 14, 610);
+    engine.submit(data.clone(), 32).unwrap();
+    let report = engine.drain();
+
+    let d0 = &report.devices[0];
+    let kinds: Vec<FaultKind> = d0.fault_events.iter().map(|f| f.kind).collect();
+    assert_eq!(kinds, [FaultKind::TransferStall], "only the scripted stall");
+    let late = &d0.batches[0];
+    let at = late.overdue_us.expect("the stalled attempt went overdue");
+    assert!(late.end_us > at, "the device finished, after the host left");
+    assert_eq!(
+        d0.mem_allocated_after, 0,
+        "the late attempt ran to completion"
+    );
+    assert!(d0.failed, "timing alone retires the device");
+    assert_eq!(report.overdue, 1);
+
+    // The late answer is discarded; device 1 serves the query.
+    let r = &report.results[0];
+    assert_eq!((r.device, r.served), (1, Served::Failover { retries: 1 }));
+    assert!(r.latency_us < late.end_us);
+    let out = r.outcome.as_ref().unwrap();
+    verify_topk(&data, 32, &out.values, &out.indices).unwrap();
 }

@@ -10,9 +10,11 @@
 //! degradation-ladder rung), one **stage track** (per batch, a span
 //! whose args carry the stage-level latency attribution — transfer /
 //! kernel / merge / other µs from [`crate::StageBreakdown`]), and —
-//! when fault injection is active — a **fault track** marking every
-//! injected fault at the simulated time it fired. Fused queries
-//! overlap exactly; retried batches appear once per attempt.
+//! when fault injection is active or an attempt went overdue — a
+//! **fault track** marking every injected fault at the simulated time
+//! it fired and an `overdue` instant where the host abandoned an
+//! attempt. Fused queries overlap exactly; retried batches appear once
+//! per attempt.
 
 use crate::DrainReport;
 use gpu_sim::TraceBuilder;
@@ -90,7 +92,12 @@ pub fn chrome_trace(report: &DrainReport) -> String {
             }
         }
 
-        if !d.fault_events.is_empty() {
+        let overdue: Vec<_> = d
+            .batches
+            .iter()
+            .filter_map(|b| Some((b, b.overdue_us?)))
+            .collect();
+        if !d.fault_events.is_empty() || !overdue.is_empty() {
             let faults = tb.add_track(&format!("device {} faults", d.device));
             for fe in &d.fault_events {
                 tb.span_with_args(
@@ -100,6 +107,19 @@ pub fn chrome_trace(report: &DrainReport) -> String {
                     (fe.clock_us - d.clock_start_us).max(0.0),
                     1.0,
                     &[("context", fe.context.clone()), ("seq", fe.seq.to_string())],
+                );
+            }
+            for (b, at_us) in overdue {
+                tb.instant_with_args(
+                    faults,
+                    "overdue",
+                    "overdue",
+                    at_us,
+                    &[
+                        ("span", b.span.to_string()),
+                        ("start_us", format!("{:.3}", b.start_us)),
+                        ("budget_us", format!("{:.3}", b.budget_us)),
+                    ],
                 );
             }
         }

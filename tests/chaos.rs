@@ -139,6 +139,51 @@ fn scripted_hang_retires_one_device_and_the_pool_survives() {
 }
 
 #[test]
+fn stragglers_with_stalled_transfers_are_late_but_never_overdue() {
+    // The false-positive guard for overdue detection: every device is
+    // a 4x straggler and every transfer stalls 8x, so every attempt
+    // runs well past its predicted budget — but within
+    // OVERDUE_FACTOR of it, so no healthy device is retired.
+    let plan = FaultPlan {
+        slow_device_rate: 1.0,
+        transfer_stall_rate: 1.0,
+        ..FaultPlan::seeded(13)
+    };
+    let mut engine = TopKEngine::new(
+        EngineConfig::a100_pool(2)
+            .with_window(4)
+            .with_queue_capacity(64)
+            .with_faults(plan),
+    );
+    let expected = submit_workload(&mut engine, 48);
+    let report = engine.drain();
+
+    for d in &report.devices {
+        assert!(d
+            .fault_events
+            .iter()
+            .all(|f| f.kind == FaultKind::TransferStall));
+        assert!(!d.failed, "device {} retired", d.device);
+    }
+    let ratios = report
+        .devices
+        .iter()
+        .flat_map(|d| &d.batches)
+        .map(|b| (b.end_us - b.start_us) / b.budget_us);
+    let worst = ratios.fold(0.0, f64::max);
+    assert!(worst > 2.0, "the stragglers must run late: worst {worst}");
+    assert_eq!(
+        report.overdue, 0,
+        "worst attempt ran {worst:.2}x its budget"
+    );
+    for (r, (data, k)) in report.results.iter().zip(&expected) {
+        assert_eq!(r.served, Served::Gpu { retries: 0 });
+        let out = r.outcome.as_ref().unwrap();
+        verify_topk(data, *k, &out.values, &out.indices).unwrap();
+    }
+}
+
+#[test]
 fn last_device_hang_degrades_to_verified_cpu_answers() {
     let plan = FaultPlan::seeded(3).with_scripted(ScriptedFault {
         device: 0,

@@ -208,6 +208,59 @@ fn chrome_trace_export_covers_a_real_multi_device_drain() {
     assert_eq!(trace.matches("\"cat\":\"queue\"").count(), waiters);
 }
 
+/// The value of an unlabelled Prometheus sample, or 0 when absent.
+fn sample(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or(0)
+}
+
+#[test]
+fn overdue_count_agrees_across_report_metrics_trace_and_flight_recorder() {
+    // One count, every view: for a chaos drain with hangs, the report
+    // field, the Prometheus counter delta, the trace's fault-track
+    // instants and the flight recorder's `overdue` events must agree.
+    let plan = FaultPlan {
+        hang_rate: 0.1,
+        ..FaultPlan::chaos(42, 0.05)
+    };
+    let mut engine = TopKEngine::new(
+        EngineConfig::a100_pool(8)
+            .with_window(2)
+            .with_queue_capacity(64)
+            .with_flight_capacity(1 << 14)
+            .with_faults(plan),
+    );
+    // Two drains: the second's counter delta starts from a non-zero
+    // base.
+    for round in 0..2u64 {
+        for q in 0..32u64 {
+            let data = datagen::generate(Distribution::Uniform, 8192, round * 100 + q);
+            engine.submit(data, 32).unwrap();
+        }
+        let before = sample(&engine.render_prometheus(), "topk_engine_overdue_total");
+        let seen_before = engine.flight_recorder().recorded();
+        let report = engine.drain();
+        let after = sample(&engine.render_prometheus(), "topk_engine_overdue_total");
+        let flight = engine
+            .flight_recorder()
+            .events()
+            .filter(|e| e.seq >= seen_before && e.kind == "overdue")
+            .count() as u64;
+        let trace = chrome_trace(&report);
+        json::validate(&trace).unwrap_or_else(|e| panic!("invalid trace JSON: {e}"));
+        let instants = trace.matches("\"cat\":\"overdue\"").count() as u64;
+
+        assert!(
+            report.overdue > 0,
+            "round {round}: the chaos drain must go overdue"
+        );
+        assert_eq!(after - before, report.overdue, "round {round}: counter");
+        assert_eq!(flight, report.overdue, "round {round}: flight recorder");
+        assert_eq!(instants, report.overdue, "round {round}: trace");
+    }
+}
+
 #[test]
 fn spans_thread_from_submission_to_kernel_reports() {
     let (_, report) = drained_engine();
