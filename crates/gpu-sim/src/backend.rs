@@ -12,9 +12,10 @@
 //!   allocation accounting ([`Backend::grant_alloc`]), metered
 //!   transfers ([`Backend::charge_htod`] / [`Backend::charge_dtoh`]),
 //!   kernel launch with a grid shape ([`Backend::launch_dyn`]), host
-//!   time, and *capability hooks* (tracing spans, kernel reports,
-//!   sanitizer, fault injection) that default to no-ops so simpler
-//!   backends stay honest instead of faking data.
+//!   time, and the instrumentation hooks (tracing spans, kernel
+//!   reports, sanitizer, fault injection). Every method is required,
+//!   so a wrapper that forgets to forward one fails to compile instead
+//!   of silently dropping faults, sanitizer findings or the timeline.
 //! * **[`BackendExt`]** is a blanket extension carrying the typed
 //!   generic conveniences (`try_alloc::<T>`, `htod`, `dtoh`,
 //!   `launch(...)` with a closure) that a trait object cannot hold
@@ -22,12 +23,12 @@
 //!   `dyn Backend`, so algorithm code takes `&mut dyn Backend` and
 //!   keeps the exact call surface it had against [`Gpu`](crate::Gpu).
 //!
-//! [`Gpu`](crate::Gpu) is the **reference implementation**: fully metered, cost
-//! modeled, sanitizer- and fault-capable. A real-GPU backend (see the
-//! `topk-wgpu` crate, behind the workspace's `wgpu` feature) implements
-//! the same trait, executing closure kernels through the portable
-//! primitives host-side and offloading the radix-select pipeline to
-//! WGSL compute shaders where an adapter exists.
+//! [`Gpu`](crate::Gpu) is the **reference implementation** and the only
+//! one that executes: fully metered, cost modeled, sanitizer- and
+//! fault-capable. The trait stays so callers can wrap a `Gpu` — to
+//! instrument every transfer and launch, or to give it its own block
+//! pool — and hand the wrapper to unchanged algorithm code.
+//! [`crate::conformance`] is the contract such a wrapper must keep.
 //!
 //! Kernels themselves stay portable because they only ever touch the
 //! device through [`BlockCtx`] accessors and the pure lane-array
@@ -69,24 +70,15 @@ pub struct AllocGrant {
     pub(crate) shadow: Option<BufferShadow>,
 }
 
-impl AllocGrant {
-    /// A grant with no sanitizer shadow (backends without a sanitizer).
-    pub fn plain() -> Self {
-        AllocGrant { shadow: None }
-    }
-}
-
 /// A compute device that can run the workspace's top-K kernels.
 ///
 /// Dyn-compatible: algorithms take `&mut dyn Backend`. The typed
-/// conveniences live on [`BackendExt`]. Methods come in two tiers —
-/// the required core every backend must implement, and capability
-/// hooks with no-op defaults (tracing, sanitizer, fault injection)
-/// that only instrumented backends override.
+/// conveniences live on [`BackendExt`]. Every method is required: a
+/// wrapper forwards each one to the backend it wraps.
 pub trait Backend: Send {
     // ---- identity -----------------------------------------------------
 
-    /// Short backend identifier (`"gpu-sim"`, `"wgpu"`).
+    /// Short backend identifier (`"gpu-sim"` for [`Gpu`](crate::Gpu)).
     fn backend_name(&self) -> &'static str;
 
     /// The device specification (SM count, bandwidth, launch overhead…).
@@ -128,9 +120,8 @@ pub trait Backend: Send {
     ) -> Result<AllocGrant, SimError>;
 
     /// Record a buffer materialised from a grant (label, size, and its
-    /// sanitizer token). Instrumented backends use this for leakcheck
-    /// bookkeeping; the default drops it.
-    fn note_buffer(&mut self, _label: &str, _bytes: usize, _token: Option<ShadowToken>) {}
+    /// sanitizer token), for leakcheck bookkeeping.
+    fn note_buffer(&mut self, label: &str, bytes: usize, token: Option<ShadowToken>);
 
     /// Release raw bytes back to the device allocator (error-path
     /// cleanup guards release whole workspaces this way).
@@ -180,76 +171,53 @@ pub trait Backend: Send {
     /// [`DeviceSpec`] and cross-block write disjointness *before* the
     /// kernel runs, and (when contract conformance is armed) observed
     /// accesses are checked against the declaration dynamically.
-    ///
-    /// The default ignores the contract and forwards to
-    /// [`Backend::launch_dyn`], so un-instrumented backends run
-    /// annotated algorithms unchanged; probe
-    /// [`Backend::verifies_contracts`] to know whether declarations are
-    /// actually enforced.
     fn launch_contract_dyn(
         &mut self,
         contract: &KernelContract,
         cfg: LaunchConfig,
         kernel: &(dyn Fn(&mut BlockCtx) + Sync),
-    ) -> Result<&KernelReport, SimError> {
-        self.launch_dyn(contract.name(), cfg, kernel)
-    }
+    ) -> Result<&KernelReport, SimError>;
 
     /// Whether [`Backend::launch_contract_dyn`] actually verifies
-    /// contracts on this backend (capability probe; `false` means
-    /// contracts are accepted but ignored).
-    fn verifies_contracts(&self) -> bool {
-        false
-    }
+    /// contracts on this backend (`false` means contracts are accepted
+    /// but ignored).
+    fn verifies_contracts(&self) -> bool;
 
-    // ---- capability hooks (default: not supported) --------------------
+    // ---- instrumentation ------------------------------------------------
 
     /// Attribute subsequent launches to tracing span `span` (0 = none).
-    fn set_span(&mut self, _span: u64) {}
+    fn set_span(&mut self, span: u64);
 
     /// Stop attributing launches to a span.
-    fn clear_span(&mut self) {}
+    fn clear_span(&mut self);
 
     /// The span currently attributed to launches (0 = none).
-    fn current_span(&self) -> u64 {
-        0
-    }
+    fn current_span(&self) -> u64;
 
-    /// All kernel reports since the last reset (empty when the backend
-    /// does not keep them).
-    fn reports(&self) -> &[KernelReport] {
-        &[]
-    }
+    /// All kernel reports since the last reset.
+    fn reports(&self) -> &[KernelReport];
 
-    /// The recorded profiling timeline, if the backend keeps one.
-    fn timeline(&self) -> Option<&Timeline> {
-        None
-    }
+    /// The recorded profiling timeline, if one is kept.
+    fn timeline(&self) -> Option<&Timeline>;
 
-    /// Arm the sanitizer (no-op for backends without one).
-    fn enable_sanitizer(&mut self, _mode: SanitizerMode) {}
+    /// Arm the sanitizer.
+    fn enable_sanitizer(&mut self, mode: SanitizerMode);
 
-    /// The armed sanitizer analyses (all-off by default).
-    fn sanitizer_mode(&self) -> SanitizerMode {
-        SanitizerMode::off()
-    }
+    /// The armed sanitizer analyses.
+    fn sanitizer_mode(&self) -> SanitizerMode;
 
-    /// Snapshot of sanitizer findings, or `None` when unsupported.
-    fn sanitizer_report(&self) -> Option<SanitizerReport> {
-        None
-    }
+    /// Snapshot of sanitizer findings, or `None` when none is kept.
+    fn sanitizer_report(&self) -> Option<SanitizerReport>;
 
     /// Run the leakcheck analysis now (diff allocator accounting
-    /// against live tracked buffers). No-op without a sanitizer.
-    fn run_leakcheck(&mut self) {}
+    /// against live tracked buffers).
+    fn run_leakcheck(&mut self);
 
-    /// Attach a fault injector (no-op for backends without one).
-    fn set_fault_injector(&mut self, _injector: FaultInjector) {}
+    /// Attach a fault injector.
+    fn set_fault_injector(&mut self, injector: FaultInjector);
 
-    /// Every fault injected on this device so far (empty by default).
-    fn fault_events(&self) -> &[FaultEvent] {
-        &[]
-    }
+    /// Every fault injected on this device so far.
+    fn fault_events(&self) -> &[FaultEvent];
 }
 
 /// Typed conveniences over [`Backend`], blanket-implemented for every

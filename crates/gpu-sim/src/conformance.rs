@@ -1,13 +1,13 @@
 //! Backend-conformance checks: the executable contract of [`Backend`].
 //!
-//! Every backend — the simulator, the wgpu backend, future ones — must
-//! pass the same behavioural suite, or algorithms ported to
-//! `&mut dyn Backend` silently mean different things on different
+//! Every backend — the simulator under any device preset, and any
+//! wrapper that forwards to it (the way an instrumenting backend
+//! does) — must pass the same behavioural suite, or algorithms ported
+//! to `&mut dyn Backend` silently mean different things on different
 //! devices. Each `check_*` function takes a backend handle, asserts
 //! one slice of the contract (panicking with a descriptive message on
 //! violation), and leaves the backend with no extra memory allocated;
-//! [`run_all`] runs the full battery. Backend crates call these from
-//! their own test targets, so one contract has many enforcers:
+//! [`run_all`] runs the full battery from any test target:
 //!
 //! ```
 //! use gpu_sim::{conformance, DeviceSpec, Gpu};

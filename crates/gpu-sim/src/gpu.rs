@@ -578,7 +578,7 @@ impl Gpu {
 
 /// The reference [`Backend`]: fully metered against the cost model,
 /// with fault injection, sanitizer, tracing spans and a profiling
-/// timeline. Every capability hook is overridden.
+/// timeline.
 impl Backend for Gpu {
     fn backend_name(&self) -> &'static str {
         "gpu-sim"

@@ -35,6 +35,12 @@
 //!    text format ([`PlanTable::to_text`]) so a warmed table can be
 //!    shipped with a deployment and reloaded at startup.
 //!
+//! Every observation is also folded into a **drift table**
+//! ([`Tuner::drift_snapshot`]): the mean observed/predicted ratio per
+//! bucket and winning configuration, which reports how wrong the model
+//! currently is. It is a view only — it never feeds back into planning
+//! and is not part of the persisted plan table.
+//!
 //! The predictors intentionally reuse the *exact* launch geometry of
 //! the real kernels (chunk sizes, pass counts, buffering thresholds,
 //! shared-memory footprints) so that occupancy and launch-overhead
@@ -42,7 +48,7 @@
 //! model 32-bit keys, the serving engine's element type.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering::Relaxed;
@@ -244,8 +250,19 @@ impl PlanKey {
     }
 }
 
+/// Stable text label for a bucket, e.g. `n2^14 k2^5 b2^3 d0`.
+impl fmt::Display for PlanKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "n2^{} k2^{} b2^{} d{}",
+            self.n_log2, self.k_log2, self.batch_log2, self.dist_class
+        )
+    }
+}
+
 /// One tuned configuration: an algorithm plus its tunable parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TunedAlgo {
     /// Multi-pass AIR Top-K with the given radix digit width.
     Air {
@@ -479,6 +496,31 @@ impl PlanTable {
     }
 }
 
+/// Accumulated cost-model drift of one bucket under one winning
+/// configuration.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DriftEntry {
+    /// Observations folded in.
+    pub samples: u64,
+    /// Sum of observed/predicted ratios (mean = sum / samples).
+    pub sum_ratio: f64,
+    /// Calibrated prediction of the most recent observation, µs.
+    pub predicted_us: f64,
+    /// Most recent observed latency, µs.
+    pub observed_us: f64,
+}
+
+impl DriftEntry {
+    /// Mean observed/predicted ratio (0.0 before the first sample).
+    pub fn mean_ratio(&self) -> f64 {
+        if self.samples == 0 {
+            0.0
+        } else {
+            self.sum_ratio / self.samples as f64
+        }
+    }
+}
+
 /// The cost-model-guided autotuner. See the module docs for the
 /// overall design; thread-safe (`&self` everywhere) so one instance
 /// can sit behind the engine's shared dispatcher.
@@ -487,6 +529,10 @@ pub struct Tuner {
     table: Mutex<PlanTable>,
     /// Per-family EMA of observed/raw-predicted latency.
     calibration: Mutex<BTreeMap<&'static str, f64>>,
+    /// Observed/predicted drift per bucket and the configuration that
+    /// was planned when each observation arrived, so a replanned
+    /// bucket keeps its old winner's row apart from the new one's.
+    drift: Mutex<BTreeMap<(PlanKey, TunedAlgo), DriftEntry>>,
 }
 
 /// EMA smoothing for calibration updates: `new = (1-β)·old + β·ratio`.
@@ -502,7 +548,7 @@ impl Tuner {
     pub fn with_table(table: PlanTable) -> Self {
         Self {
             table: Mutex::new(table),
-            calibration: Mutex::new(BTreeMap::new()),
+            ..Self::default()
         }
     }
 
@@ -650,10 +696,22 @@ impl Tuner {
             .collect()
     }
 
+    /// Snapshot the drift table in (bucket, configuration) order: one
+    /// row per configuration that was the bucket's plan when an
+    /// observation arrived.
+    pub fn drift_snapshot(&self) -> Vec<(PlanKey, TunedAlgo, DriftEntry)> {
+        self.drift
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|(&(key, algo), entry)| (key, algo, *entry))
+            .collect()
+    }
+
     /// Counter-neutral table lookup: the cached plan for a shape's
     /// bucket, if one exists. Unlike [`Self::plan`] this neither plans
     /// on a miss nor touches the `tuner_plan_hits`/`tuner_plan_misses`
-    /// observability counters, so a profiler can read the prediction a
+    /// observability counters, so a caller can read the prediction a
     /// dispatch is about to use without perturbing the hit-rate it is
     /// trying to measure.
     pub fn peek(&self, shape: &ProblemShape) -> Option<Plan> {
@@ -661,10 +719,11 @@ impl Tuner {
     }
 
     /// Feed back an observed latency for a shape that was dispatched
-    /// through [`Self::plan`]. Updates the winning family's calibration
-    /// EMA and re-plans the bucket under the new calibration; if the
-    /// winner changes, the plan is replaced and `tuner_refinements`
-    /// is incremented.
+    /// through [`Self::plan`]. Folds the observed/predicted ratio into
+    /// the drift table under the plan it was priced with, updates the
+    /// winning family's calibration EMA and re-plans the bucket under
+    /// the new calibration; if the winner changes, the plan is
+    /// replaced and `tuner_refinements` is incremented.
     pub fn observe(&self, spec: &DeviceSpec, shape: &ProblemShape, observed_us: f64) {
         if !observed_us.is_finite() || observed_us <= 0.0 {
             return;
@@ -674,6 +733,14 @@ impl Tuner {
             Some(plan) => *plan,
             None => return,
         };
+        if current.predicted_us > 0.0 {
+            let mut drift = self.drift.lock().unwrap();
+            let e = drift.entry((key, current.algo)).or_default();
+            e.samples += 1;
+            e.sum_ratio += observed_us / current.predicted_us;
+            e.predicted_us = current.predicted_us;
+            e.observed_us = observed_us;
+        }
         if current.raw_us <= 0.0 {
             return;
         }
@@ -1435,6 +1502,95 @@ mod tests {
         );
         let delta = counters().snapshot().delta_since(&before);
         assert!(delta.tuner_refinements >= 1);
+    }
+
+    /// Observe `ratio` × the bucket's current calibrated prediction;
+    /// returns the plan the observation was priced with.
+    fn observe_ratio(tuner: &Tuner, shape: &ProblemShape, ratio: f64) -> Plan {
+        let plan = tuner.peek(shape).expect("shape was planned");
+        tuner.observe(&a100(), shape, plan.predicted_us * ratio);
+        plan
+    }
+
+    #[test]
+    fn drift_accumulates_mean_ratio_per_bucket() {
+        let tuner = Tuner::new();
+        assert!(tuner.drift_snapshot().is_empty());
+        let small = ProblemShape::new(1 << 14, 32, 1);
+        let large = ProblemShape::new(1 << 20, 1024, 1);
+        tuner.plan(&a100(), &small);
+        tuner.plan(&a100(), &large);
+        let plan = observe_ratio(&tuner, &small, 1.1);
+        observe_ratio(&tuner, &small, 1.3);
+        observe_ratio(&tuner, &large, 0.8);
+        let rows = tuner.drift_snapshot();
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert_eq!(rows[0].0.to_string(), "n2^14 k2^5 b2^0 d0");
+        assert_eq!(rows[0].1, plan.algo);
+        assert_eq!(rows[0].2.samples, 2);
+        assert!((rows[0].2.mean_ratio() - 1.2).abs() < 1e-9);
+        assert_eq!(rows[1].0.to_string(), "n2^20 k2^10 b2^0 d0");
+        assert!((rows[1].2.mean_ratio() - 0.8).abs() < 1e-9);
+        // Drift is a view: the persisted plan table does not carry it.
+        assert!(!tuner.table_text().contains("ratio"));
+    }
+
+    #[test]
+    fn degenerate_observations_are_ignored() {
+        let tuner = Tuner::new();
+        let shape = ProblemShape::new(1 << 10, 8, 1);
+        // Unplanned bucket: nothing to compare against.
+        tuner.observe(&a100(), &shape, 10.0);
+        tuner.plan(&a100(), &shape);
+        for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
+            tuner.observe(&a100(), &shape, bad);
+        }
+        assert!(tuner.drift_snapshot().is_empty());
+        // A plan without a positive prediction yields no ratio.
+        let zero = Tuner::with_table(
+            PlanTable::from_text("n=10 k=3 b=0 d=0 algo=air:11 cost=0.000 raw=0.000").unwrap(),
+        );
+        zero.observe(&a100(), &shape, 10.0);
+        assert!(zero.drift_snapshot().is_empty());
+        assert_eq!(DriftEntry::default().mean_ratio(), 0.0);
+    }
+
+    #[test]
+    fn refined_bucket_keeps_one_drift_row_per_algorithm() {
+        let tuner = Tuner::new();
+        let spec = a100();
+        let shape = ProblemShape::new(1 << 21, 32, 1);
+        let initial = tuner.plan(&spec, &shape);
+        // Report the winner 50× slow until the refiner replans the
+        // bucket, tracking the ratios the old winner's row must hold.
+        let (mut samples, mut sum_ratio) = (0u64, 0.0);
+        let mut refined = None;
+        for _ in 0..32 {
+            let priced = tuner.peek(&shape).unwrap();
+            let observed = initial.raw_us * 50.0;
+            tuner.observe(&spec, &shape, observed);
+            samples += 1;
+            sum_ratio += observed / priced.predicted_us;
+            let now = tuner.peek(&shape).unwrap();
+            if now.algo != initial.algo {
+                refined = Some(now);
+                break;
+            }
+        }
+        let refined = refined.expect("a 50× miss must eventually replan the bucket");
+        // The new winner turns out exactly as predicted.
+        observe_ratio(&tuner, &shape, 1.0);
+
+        let rows = tuner.drift_snapshot();
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert!(rows.iter().all(|(key, _, _)| *key == PlanKey::of(&shape)));
+        let row = |algo| rows.iter().find(|r| r.1 == algo).unwrap().2;
+        let old = row(initial.algo);
+        assert_eq!(old.samples, samples);
+        assert!((old.mean_ratio() - sum_ratio / samples as f64).abs() < 1e-9);
+        let new = row(refined.algo);
+        assert_eq!(new.samples, 1);
+        assert!((new.mean_ratio() - 1.0).abs() < 1e-9, "{new:?}");
     }
 
     mod properties {

@@ -18,6 +18,7 @@
 //! output consumed or ignored.
 
 use std::collections::VecDeque;
+use topk_core::tuner::{DriftEntry, PlanKey, TunedAlgo};
 
 /// Event kinds that trigger a post-mortem dump: a terminal query
 /// failure, a missed deadline, a breaker trip, a device retired from
@@ -168,23 +169,6 @@ pub struct PmDevice {
     pub sanitizer_occurrences: u64,
 }
 
-/// One cost-model drift row of a post-mortem document.
-#[derive(Debug, Clone)]
-pub struct PmDrift {
-    /// Plan-key bucket label.
-    pub key: String,
-    /// Winning configuration label.
-    pub algo: String,
-    /// Observations folded into the row.
-    pub samples: u64,
-    /// Calibrated prediction of the most recent dispatch, µs.
-    pub predicted_us: f64,
-    /// Most recent observed batch latency, µs.
-    pub observed_us: f64,
-    /// Mean observed/predicted ratio (1.0 = the model is honest).
-    pub mean_ratio: f64,
-}
-
 /// Minimal JSON string escaping (backslash, quote, control chars).
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -214,14 +198,15 @@ fn json_f64(v: f64) -> String {
 
 /// Render a post-mortem as a self-contained JSON document:
 /// the trigger, the retained event window, per-device snapshots, the
-/// cost-model drift table, and the tuner's calibration state.
+/// tuner's cost-model drift table ([`topk_core::tuner::Tuner::drift_snapshot`])
+/// and its calibration state.
 pub fn render_post_mortem(
     trigger: &str,
     trigger_seq: u64,
     clock_us: f64,
     recorder: &FlightRecorder,
     devices: &[PmDevice],
-    drift: &[PmDrift],
+    drift: &[(PlanKey, TunedAlgo, DriftEntry)],
     calibration: &[(&'static str, f64)],
 ) -> String {
     let mut out = String::new();
@@ -265,15 +250,15 @@ pub fn render_post_mortem(
     }
     out.push_str("  ],\n");
     out.push_str("  \"drift\": [\n");
-    for (i, r) in drift.iter().enumerate() {
+    for (i, (key, algo, e)) in drift.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"key\": {}, \"algo\": {}, \"samples\": {}, \"predicted_us\": {}, \"observed_us\": {}, \"mean_ratio\": {}}}{}\n",
-            json_str(&r.key),
-            json_str(&r.algo),
-            r.samples,
-            json_f64(r.predicted_us),
-            json_f64(r.observed_us),
-            json_f64(r.mean_ratio),
+            json_str(&key.to_string()),
+            json_str(&algo.encode()),
+            e.samples,
+            json_f64(e.predicted_us),
+            json_f64(e.observed_us),
+            json_f64(e.mean_ratio()),
             if i + 1 < drift.len() { "," } else { "" }
         ));
     }
@@ -349,14 +334,19 @@ mod tests {
             fault_events: vec!["launch_fail@0".into()],
             sanitizer_occurrences: 0,
         }];
-        let drift = vec![PmDrift {
-            key: "n2^12 k2^5 b2^0 d0".into(),
-            algo: "air:11".into(),
+        let key = PlanKey {
+            n_log2: 12,
+            k_log2: 5,
+            batch_log2: 0,
+            dist_class: 0,
+        };
+        let entry = DriftEntry {
             samples: 3,
+            sum_ratio: 3.66,
             predicted_us: 50.0,
             observed_us: 61.0,
-            mean_ratio: 1.22,
-        }];
+        };
+        let drift = [(key, TunedAlgo::Air { bits_per_pass: 11 }, entry)];
         let json = render_post_mortem(
             "deadline_miss",
             1,
@@ -368,7 +358,9 @@ mod tests {
         );
         assert!(json.contains("\"trigger\": \"deadline_miss\""));
         assert!(json.contains("\\\"quoted\\\""), "details must be escaped");
-        assert!(json.contains("\"drift\""));
+        assert!(json.contains(
+            "{\"key\": \"n2^12 k2^5 b2^0 d0\", \"algo\": \"air:11\", \"samples\": 3, \"predicted_us\": 50.000, \"observed_us\": 61.000, \"mean_ratio\": 1.220}"
+        ));
         assert!(json.contains("\"calibration\""));
         // Balanced braces/brackets — cheap structural sanity.
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -112,12 +112,10 @@
 
 pub mod flight;
 pub mod metrics;
-pub mod profiler;
 pub mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder};
 pub use metrics::EngineMetrics;
-pub use profiler::{DriftEntry, DriftTracker};
 pub use trace::chrome_trace;
 
 // Fault-injection vocabulary, re-exported so engine users can build a
@@ -132,7 +130,7 @@ use gpu_sim::{Backend, BackendExt, DeviceSpec, EventKind, Gpu, KernelReport, Sim
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use topk_core::tuner::{DistSketch, PlanKey, ProblemShape, TunedAlgo, Tuner};
+use topk_core::tuner::{DistSketch, DriftEntry, PlanKey, ProblemShape, TunedAlgo, Tuner};
 use topk_core::{
     AlgoSnapshot, BucketedTopK, DeviceMatrix, ScratchGuard, SelectK, TopKError, TwoStageTopK,
 };
@@ -210,8 +208,9 @@ impl Default for BreakerConfig {
 pub type BackendCtor = dyn Fn(&DeviceSpec) -> Box<dyn Backend> + Send + Sync;
 
 /// Constructor for the pool's device backends, letting an engine run
-/// on any [`Backend`] implementation (the simulator by default; a
-/// `wgpu` device, a mock, …). Cheap to clone — the closure is shared.
+/// on any [`Backend`] implementation (a plain [`Gpu`] by default; a
+/// `Gpu` with its own block pool, or a wrapper that instruments one).
+/// Cheap to clone — the closure is shared.
 #[derive(Clone)]
 pub struct BackendFactory(Arc<BackendCtor>);
 
@@ -1053,7 +1052,9 @@ pub struct DeviceSnapshot {
 }
 
 /// Point-in-time state of the whole engine — the scrape-friendly
-/// companion to the event-stream metrics in [`EngineMetrics`].
+/// companion to the event-stream metrics in [`EngineMetrics`]. Every
+/// cumulative total is read from those metrics' counters, so the two
+/// views cannot disagree.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineSnapshot {
     /// Queries waiting for the next drain.
@@ -1125,30 +1126,11 @@ pub struct TopKEngine {
     metrics: EngineMetrics,
     /// Always-on bounded event ring; see [`crate::flight`].
     flight: FlightRecorder,
-    /// Predicted-vs-observed cost accounting per plan bucket; persists
-    /// across drains like the tuner it audits.
-    drift: DriftTracker,
     /// Post-mortem JSON documents dumped by anomaly triggers, oldest
     /// first, capped at [`POST_MORTEM_CAP`].
     post_mortems: Vec<String>,
     post_mortems_dropped: u64,
-    tuner_plan_hits: u64,
-    tuner_plan_misses: u64,
-    tuner_refinements: u64,
-    // Cumulative tallies for EngineSnapshot.
-    queries_submitted: u64,
-    queries_completed: u64,
-    queries_failed: u64,
-    queue_rejections: u64,
-    drains: u64,
-    errors: [u64; TopKError::KINDS.len()],
-    retries: u64,
-    failovers: u64,
-    cpu_fallbacks: u64,
-    approx_two_stage: u64,
-    approx_bucketed: u64,
-    deadline_misses: u64,
-    quarantines: u64,
+    /// Sum of drain makespans, µs — the denominator of utilisation.
     wall_us: f64,
     device_stats: Vec<DeviceStats>,
 }
@@ -1191,25 +1173,8 @@ impl TopKEngine {
             selector: SelectK::default(),
             metrics: EngineMetrics::new(),
             flight,
-            drift: DriftTracker::new(),
             post_mortems: Vec::new(),
             post_mortems_dropped: 0,
-            tuner_plan_hits: 0,
-            tuner_plan_misses: 0,
-            tuner_refinements: 0,
-            queries_submitted: 0,
-            queries_completed: 0,
-            queries_failed: 0,
-            queue_rejections: 0,
-            drains: 0,
-            errors: [0; TopKError::KINDS.len()],
-            retries: 0,
-            failovers: 0,
-            cpu_fallbacks: 0,
-            approx_two_stage: 0,
-            approx_bucketed: 0,
-            deadline_misses: 0,
-            quarantines: 0,
             wall_us: 0.0,
             device_stats,
         }
@@ -1284,15 +1249,25 @@ impl TopKEngine {
         self.post_mortems_dropped
     }
 
-    /// Cost-model drift accounting: predicted vs. observed latency per
-    /// plan-table bucket, accumulated over every drain.
-    pub fn drift(&self) -> &DriftTracker {
-        &self.drift
-    }
-
-    /// The drift table rendered as an aligned text block.
+    /// The tuner's cost-model drift table (predicted vs. observed
+    /// latency per plan bucket and winning configuration, accumulated
+    /// over every drain) rendered as an aligned text block.
     pub fn drift_table_text(&self) -> String {
-        self.drift.render_text()
+        let mut out = String::from(
+            "Plan bucket            Algo        Samples   Predicted us   Observed us   Ratio\n",
+        );
+        for (key, algo, e) in drift_rows(&self.selector) {
+            out.push_str(&format!(
+                "{:<22} {:<11} {:>7} {:>14.2} {:>13.2} {:>7.3}\n",
+                key.to_string(),
+                algo.encode(),
+                e.samples,
+                e.predicted_us,
+                e.observed_us,
+                e.mean_ratio(),
+            ));
+        }
+        out
     }
 
     /// The tuner's per-family EMA calibration factors (empty when the
@@ -1307,28 +1282,31 @@ impl TopKEngine {
     /// Point-in-time engine state: queue depth, per-device utilisation
     /// and error totals.
     pub fn snapshot(&self) -> EngineSnapshot {
+        let m = &self.metrics;
+        let errors: Vec<(&'static str, u64)> = TopKError::KINDS
+            .iter()
+            .zip(&m.query_errors)
+            .map(|(&kind, c)| (kind, c.get()))
+            .collect();
+        let queries_failed = errors.iter().map(|&(_, n)| n).sum::<u64>();
         EngineSnapshot {
             queue_depth: self.pending.len(),
-            queries_submitted: self.queries_submitted,
-            queries_completed: self.queries_completed,
-            queries_failed: self.queries_failed,
-            queue_rejections: self.queue_rejections,
-            drains: self.drains,
-            errors: TopKError::KINDS
-                .iter()
-                .zip(self.errors)
-                .map(|(&k, n)| (k, n))
-                .collect(),
-            retries: self.retries,
-            failovers: self.failovers,
-            cpu_fallbacks: self.cpu_fallbacks,
-            approx_two_stage: self.approx_two_stage,
-            approx_bucketed: self.approx_bucketed,
-            deadline_misses: self.deadline_misses,
-            quarantines: self.quarantines,
-            tuner_plan_hits: self.tuner_plan_hits,
-            tuner_plan_misses: self.tuner_plan_misses,
-            tuner_refinements: self.tuner_refinements,
+            queries_submitted: m.queries_submitted.get(),
+            queries_completed: m.queries.get() - queries_failed,
+            queries_failed,
+            queue_rejections: m.queue_rejections.get(),
+            drains: m.drains.get(),
+            errors,
+            retries: m.retries.get(),
+            failovers: m.failovers.get(),
+            cpu_fallbacks: m.cpu_fallbacks.get(),
+            approx_two_stage: m.approx_two_stage.get(),
+            approx_bucketed: m.approx_bucketed.get(),
+            deadline_misses: m.deadline_misses.get(),
+            quarantines: m.quarantines.get(),
+            tuner_plan_hits: m.tuner_plan_hits.get(),
+            tuner_plan_misses: m.tuner_plan_misses.get(),
+            tuner_refinements: m.tuner_refinements.get(),
             devices: self
                 .device_stats
                 .iter()
@@ -1413,7 +1391,6 @@ impl TopKEngine {
         recall_target: f64,
     ) -> Result<usize, EngineError> {
         if self.pending.len() >= self.config.queue_capacity {
-            self.queue_rejections += 1;
             self.metrics.queue_rejections.inc();
             self.flight.record(
                 "queue_reject",
@@ -1449,7 +1426,6 @@ impl TopKEngine {
             recall_target: recall_target.clamp(0.0, 1.0),
             sketch,
         });
-        self.queries_submitted += 1;
         self.metrics.queries_submitted.inc();
         self.metrics.queue_depth.set(self.pending.len() as f64);
         Ok(id)
@@ -1705,21 +1681,17 @@ impl TopKEngine {
                 Ok(Ok(outs)) => {
                     self.health[dev].consecutive_faults = 0;
                     // Close the tuning loop: the batch's measured
-                    // service time recalibrates its plan bucket —
-                    // exact attempts only, so approximate timings
-                    // never pollute the exact cost model they were
-                    // chosen to undercut.
+                    // service time recalibrates its plan bucket and
+                    // lands in the tuner's drift table — exact
+                    // attempts only, so approximate timings never
+                    // pollute the exact cost model they were chosen to
+                    // undercut.
                     if rung.is_none() {
-                        let shape = job.batch.shape();
-                        // Drift accounting reads the plan this dispatch
-                        // was priced with *before* observe() can replan
-                        // the bucket — counter-neutrally, so plan-table
-                        // hit/miss metrics are unperturbed.
-                        if let Some(plan) = selector.tuner().and_then(|t| t.peek(&shape)) {
-                            self.drift
-                                .observe(PlanKey::of(&shape), &plan, end_us - start_us);
-                        }
-                        selector.observe(self.gpus[dev].spec(), &shape, end_us - start_us);
+                        selector.observe(
+                            self.gpus[dev].spec(),
+                            &job.batch.shape(),
+                            end_us - start_us,
+                        );
                     }
                     self.flight.record(
                         "batch_ok",
@@ -2014,8 +1986,9 @@ impl TopKEngine {
     }
 
     /// If a trigger-kind event landed at or after `step_seq`, snapshot
-    /// the flight recorder — plus per-device state, the drift table and
-    /// the tuner calibration — into a post-mortem JSON document.
+    /// the flight recorder — plus per-device state and the drift table
+    /// and calibration of `selector`, the drain's live dispatcher —
+    /// into a post-mortem JSON document.
     /// Bounded: once [`POST_MORTEM_CAP`] documents are retained,
     /// further triggers only count
     /// [`TopKEngine::post_mortems_dropped`].
@@ -2071,31 +2044,18 @@ impl TopKEngine {
             clock_us,
             &self.flight,
             &devices,
-            &self.drift.rows(),
+            &drift_rows(selector),
             &calibration,
         );
         self.post_mortems.push(json);
     }
 
     /// Fold one drain's outcome into the metrics registry and the
-    /// cumulative snapshot tallies.
+    /// per-device utilisation tallies.
     fn record_drain(&mut self, report: &DrainReport) {
-        self.drains += 1;
         self.wall_us += report.makespan_us();
         for r in &report.results {
             self.metrics.record_query(r);
-            match &r.outcome {
-                Ok(_) => self.queries_completed += 1,
-                Err(e) => {
-                    self.queries_failed += 1;
-                    let kind = e.kind();
-                    let slot = TopKError::KINDS
-                        .iter()
-                        .position(|&k| k == kind)
-                        .expect("kind() values come from KINDS");
-                    self.errors[slot] += 1;
-                }
-            }
         }
         for d in &report.devices {
             let stats = &mut self.device_stats[d.device];
@@ -2118,13 +2078,6 @@ impl TopKEngine {
             };
             self.metrics.set_device_utilization(dev, util);
         }
-        self.retries += report.retries;
-        self.failovers += report.failovers;
-        self.cpu_fallbacks += report.cpu_fallbacks;
-        self.approx_two_stage += report.approx_two_stage;
-        self.approx_bucketed += report.approx_bucketed;
-        self.deadline_misses += report.deadline_misses;
-        self.quarantines += report.quarantines;
         self.metrics.record_resilience(report);
         let quarantined = (0..self.gpus.len())
             .filter(|&d| self.health_label(d) == "quarantined")
@@ -2132,9 +2085,6 @@ impl TopKEngine {
         let failed = self.health.iter().filter(|h| h.failed).count();
         self.metrics.set_health_gauges(quarantined, failed);
         self.metrics.record_algo(&report.algo);
-        self.tuner_plan_hits += report.algo.tuner_plan_hits;
-        self.tuner_plan_misses += report.algo.tuner_plan_misses;
-        self.tuner_refinements += report.algo.tuner_refinements;
         // Continuous profiling exports: per-kernel roofline rows, the
         // drain's stage attribution, cost-model drift and the tuner's
         // calibration state — all derived from data the drain already
@@ -2144,9 +2094,8 @@ impl TopKEngine {
             self.metrics.record_roofline(d.device, &rows);
         }
         self.metrics.record_stages(&report.stages);
-        for (key, entry) in self.drift.iter() {
-            self.metrics
-                .record_drift(&profiler::plan_key_label(key), entry);
+        for (key, algo, entry) in drift_rows(&self.selector) {
+            self.metrics.record_drift(&key, &algo, &entry);
         }
         for (family, factor) in self.calibration() {
             self.metrics.record_calibration(family, factor);
@@ -2252,6 +2201,15 @@ fn decide_rung(
         est_recall,
         cause,
     })
+}
+
+/// The tuner's cost-model drift table in (bucket, configuration)
+/// order; empty without a tuner.
+fn drift_rows(selector: &SelectK) -> Vec<(PlanKey, TunedAlgo, DriftEntry)> {
+    selector
+        .tuner()
+        .map(Tuner::drift_snapshot)
+        .unwrap_or_default()
 }
 
 /// The tuner's calibrated prediction for one attempt, µs: the

@@ -42,15 +42,15 @@
 //! | `topk_profile_occupancy{device,kernel}` | gauge | exec-time-weighted mean occupancy per kernel |
 //! | `topk_profile_kernel_launches_total{device,kernel}` | counter | roofline-folded launches per kernel |
 //! | `topk_profile_kernel_bytes_total{device,kernel}` | counter | memory traffic folded per kernel |
-//! | `topk_tuner_drift_ratio{bucket,algo}` | gauge | mean observed/predicted cost ratio per plan bucket |
+//! | `topk_tuner_drift_ratio{bucket,algo}` | gauge | mean observed/predicted cost ratio per plan bucket and winner |
 //! | `topk_tuner_drift_samples{bucket,algo}` | gauge | observations behind each drift ratio |
 //! | `topk_tuner_calibration{family}` | gauge | tuner EMA calibration factor per algorithm family |
 
-use crate::profiler::DriftEntry;
 use crate::{BatchRecord, DrainReport, QueryResult, StageBreakdown};
 use gpu_sim::FaultKind;
 use gpu_sim::RooflineRow;
 use std::sync::Arc;
+use topk_core::tuner::{DriftEntry, PlanKey, TunedAlgo};
 use topk_core::{AlgoSnapshot, TopKError};
 use topk_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -98,9 +98,9 @@ pub struct EngineMetrics {
     rowwise_compactions: Arc<Counter>,
     bucketed_selections: Arc<Counter>,
     twostage_reduces: Arc<Counter>,
-    tuner_plan_hits: Arc<Counter>,
-    tuner_plan_misses: Arc<Counter>,
-    tuner_refinements: Arc<Counter>,
+    pub(crate) tuner_plan_hits: Arc<Counter>,
+    pub(crate) tuner_plan_misses: Arc<Counter>,
+    pub(crate) tuner_refinements: Arc<Counter>,
 }
 
 impl EngineMetrics {
@@ -439,9 +439,11 @@ impl EngineMetrics {
         }
     }
 
-    /// Export one plan bucket's cost-model drift state.
-    pub(crate) fn record_drift(&self, bucket: &str, entry: &DriftEntry) {
-        let labels = [("bucket", bucket), ("algo", entry.algo.as_str())];
+    /// Export one drift row: a plan bucket under one winning
+    /// configuration.
+    pub(crate) fn record_drift(&self, key: &PlanKey, algo: &TunedAlgo, entry: &DriftEntry) {
+        let (bucket, algo) = (key.to_string(), algo.encode());
+        let labels = [("bucket", bucket.as_str()), ("algo", algo.as_str())];
         self.registry
             .gauge_with(
                 "topk_tuner_drift_ratio",

@@ -1003,7 +1003,7 @@ fn routed_to(algo: TunedAlgo, n: usize, k: usize, batch: usize) -> SelectK {
     let shape = ProblemShape::new(n, k, batch).with_sketch(DistSketch::uniform());
     let mut table = topk_core::tuner::PlanTable::new();
     table.insert(
-        PlanKey::of(&shape),
+        topk_core::tuner::PlanKey::of(&shape),
         topk_core::tuner::Plan {
             algo,
             predicted_us: 1.0,

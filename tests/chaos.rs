@@ -6,6 +6,10 @@
 //! hangs, no aborted drains, no scratch leaked on surviving devices,
 //! and bitwise-identical outcomes when the same seed is replayed.
 
+use gpu_topk::gpu_sim::{
+    conformance, AllocGrant, Backend, BlockCtx, BlockPool, FaultEvent, FaultInjector,
+    KernelContract, KernelReport, SanitizerReport, ShadowToken, SimError, Timeline,
+};
 use gpu_topk::prelude::*;
 
 /// A mixed-shape workload sized so every seed exercises coalescing,
@@ -227,4 +231,181 @@ fn impossible_deadline_is_a_typed_error_not_a_hang() {
             r.outcome
         );
     }
+}
+
+/// A backend that forwards every method to the backend it wraps, the
+/// way an instrumenting wrapper does. Generic, so every call goes
+/// through the trait rather than a `Gpu` inherent method of the same
+/// name. Nothing the engine or an algorithm can observe may tell it
+/// apart from the `Gpu` it wraps.
+struct Forwarding<B>(B);
+
+impl<B: Backend> Backend for Forwarding<B> {
+    fn backend_name(&self) -> &'static str {
+        self.0.backend_name()
+    }
+
+    fn spec(&self) -> &DeviceSpec {
+        self.0.spec()
+    }
+
+    fn elapsed_us(&self) -> f64 {
+        self.0.elapsed_us()
+    }
+
+    fn host_compute(&mut self, what: &str, us: f64) {
+        self.0.host_compute(what, us)
+    }
+
+    fn host_sync(&mut self) {
+        self.0.host_sync()
+    }
+
+    fn reset_profile(&mut self) {
+        self.0.reset_profile()
+    }
+
+    fn grant_alloc(
+        &mut self,
+        label: &str,
+        len: usize,
+        elem_bytes: usize,
+    ) -> Result<AllocGrant, SimError> {
+        self.0.grant_alloc(label, len, elem_bytes)
+    }
+
+    fn note_buffer(&mut self, label: &str, bytes: usize, token: Option<ShadowToken>) {
+        self.0.note_buffer(label, bytes, token)
+    }
+
+    fn free_bytes(&mut self, bytes: usize) {
+        self.0.free_bytes(bytes)
+    }
+
+    fn mem_allocated(&self) -> usize {
+        self.0.mem_allocated()
+    }
+
+    fn mem_high_water(&self) -> usize {
+        self.0.mem_high_water()
+    }
+
+    fn charge_htod(&mut self, label: &str, bytes: usize, fallible: bool) -> Result<(), SimError> {
+        self.0.charge_htod(label, bytes, fallible)
+    }
+
+    fn charge_dtoh(
+        &mut self,
+        label: &str,
+        bytes: usize,
+        fallible: bool,
+        token: Option<&ShadowToken>,
+    ) -> Result<(), SimError> {
+        self.0.charge_dtoh(label, bytes, fallible, token)
+    }
+
+    fn launch_dyn(
+        &mut self,
+        name: &str,
+        cfg: LaunchConfig,
+        kernel: &(dyn Fn(&mut BlockCtx) + Sync),
+    ) -> Result<&KernelReport, SimError> {
+        self.0.launch_dyn(name, cfg, kernel)
+    }
+
+    fn launch_contract_dyn(
+        &mut self,
+        contract: &KernelContract,
+        cfg: LaunchConfig,
+        kernel: &(dyn Fn(&mut BlockCtx) + Sync),
+    ) -> Result<&KernelReport, SimError> {
+        self.0.launch_contract_dyn(contract, cfg, kernel)
+    }
+
+    fn verifies_contracts(&self) -> bool {
+        self.0.verifies_contracts()
+    }
+
+    fn set_span(&mut self, span: u64) {
+        self.0.set_span(span)
+    }
+
+    fn clear_span(&mut self) {
+        self.0.clear_span()
+    }
+
+    fn current_span(&self) -> u64 {
+        self.0.current_span()
+    }
+
+    fn reports(&self) -> &[KernelReport] {
+        self.0.reports()
+    }
+
+    fn timeline(&self) -> Option<&Timeline> {
+        self.0.timeline()
+    }
+
+    fn enable_sanitizer(&mut self, mode: SanitizerMode) {
+        self.0.enable_sanitizer(mode)
+    }
+
+    fn sanitizer_mode(&self) -> SanitizerMode {
+        self.0.sanitizer_mode()
+    }
+
+    fn sanitizer_report(&self) -> Option<SanitizerReport> {
+        self.0.sanitizer_report()
+    }
+
+    fn run_leakcheck(&mut self) {
+        self.0.run_leakcheck()
+    }
+
+    fn set_fault_injector(&mut self, injector: FaultInjector) {
+        self.0.set_fault_injector(injector)
+    }
+
+    fn fault_events(&self) -> &[FaultEvent] {
+        self.0.fault_events()
+    }
+}
+
+#[test]
+fn forwarding_backend_passes_conformance() {
+    conformance::run_all(&mut Forwarding(Gpu::new(DeviceSpec::test_tiny())));
+    conformance::run_all(&mut Forwarding(Gpu::new(DeviceSpec::a100())));
+}
+
+#[test]
+fn injected_backends_replay_the_default_chaos_digest() {
+    // The same seeded chaos drain through the default pool, through
+    // factories that give every device its own block pool of 1, 2 or 4
+    // host workers, and through a forwarding wrapper: host threading
+    // and backend indirection must not move a single bit of the digest.
+    // The workload is uniform data; tie-heavy inputs are not covered.
+    let run = |cfg: EngineConfig| {
+        let mut engine = TopKEngine::new(
+            cfg.with_window(4)
+                .with_queue_capacity(64)
+                .with_faults(FaultPlan::chaos(42, 0.08)),
+        );
+        submit_workload(&mut engine, 36);
+        engine.drain().chaos_digest()
+    };
+    let default = run(EngineConfig::a100_pool(3));
+    for workers in [1, 2, 4] {
+        let pooled = run(EngineConfig::a100_pool(3).with_backend_factory(
+            move |spec: &DeviceSpec| {
+                Box::new(Gpu::with_pool(spec.clone(), BlockPool::new(workers))) as Box<dyn Backend>
+            },
+        ));
+        assert_eq!(pooled, default, "{workers} host workers moved the digest");
+    }
+    let wrapped = run(
+        EngineConfig::a100_pool(3).with_backend_factory(|spec: &DeviceSpec| {
+            Box::new(Forwarding(Gpu::new(spec.clone()))) as Box<dyn Backend>
+        }),
+    );
+    assert_eq!(wrapped, default, "the forwarding wrapper moved the digest");
 }

@@ -208,7 +208,8 @@ fn chrome_trace_export_covers_a_real_multi_device_drain() {
     assert_eq!(trace.matches("\"cat\":\"queue\"").count(), waiters);
 }
 
-/// The value of an unlabelled Prometheus sample, or 0 when absent.
+/// The value of a Prometheus sample (`name` or `name{label="v"}`), or
+/// 0 when absent.
 fn sample(text: &str, name: &str) -> u64 {
     text.lines()
         .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
@@ -374,10 +375,28 @@ fn post_mortem_after_successful_batches_carries_the_drift_table() {
         engine.submit(data, 64).unwrap();
     }
     let _ = engine.drain();
+    let rows = engine.selector().tuner().unwrap().drift_snapshot();
     assert!(
-        !engine.drift().is_empty(),
-        "successful batches populate the drift tracker"
+        !rows.is_empty(),
+        "successful batches populate the tuner's drift table"
     );
+    // The rendered table carries one line per tuner row, labelled with
+    // the bucket and the planned algorithm.
+    let text = engine.drift_table_text();
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(lines[0].starts_with("Plan bucket"), "{text}");
+    assert_eq!(lines.len(), rows.len() + 1, "{text}");
+    for (line, (key, algo, e)) in lines[1..].iter().zip(&rows) {
+        let cols: Vec<&str> = line.split_whitespace().collect();
+        assert!(line.starts_with(&key.to_string()), "{line}");
+        assert!(cols.contains(&algo.encode().as_str()), "{line}");
+        assert!(cols.contains(&e.samples.to_string().as_str()), "{line}");
+        assert_eq!(
+            cols.last().copied(),
+            Some(format!("{:.3}", e.mean_ratio()).as_str()),
+            "{line}"
+        );
+    }
     assert!(engine.take_post_mortems().is_empty(), "clean drain");
 
     // Now trigger a dump; it must carry the accumulated drift table
@@ -393,6 +412,10 @@ fn post_mortem_after_successful_batches_carries_the_drift_table() {
         samples.iter().any(|&s| s > 0),
         "drift rows must be populated:\n{pm}"
     );
+    for (key, algo, _) in &rows {
+        let row = format!("\"key\": \"{key}\", \"algo\": \"{}\"", algo.encode());
+        assert!(pm.contains(&row), "post-mortem drift row {row}:\n{pm}");
+    }
     assert!(pm.contains("\"family\""), "calibration rows present:\n{pm}");
     // A second take returns nothing — the dump buffer drains.
     assert!(engine.take_post_mortems().is_empty());
@@ -471,5 +494,114 @@ fn engine_snapshot_tracks_queue_errors_and_utilization() {
     for d in &snap.devices {
         assert!(d.utilization > 0.0 && d.utilization <= 1.0 + 1e-9);
         assert!(d.kernel_launches > 0);
+    }
+}
+
+#[test]
+fn one_count_every_view_across_chaos_drains() {
+    // Every cumulative EngineSnapshot total must equal its Prometheus
+    // counter and the sum of the same field over the drain reports:
+    // the snapshot is a view of the counters, not a second tally.
+    let plan = FaultPlan {
+        hang_rate: 0.02,
+        ..FaultPlan::chaos(11, 0.12)
+    };
+    let mut engine = TopKEngine::new(
+        EngineConfig::a100_pool(3)
+            .with_window(4)
+            .with_queue_capacity(64)
+            .with_recall_target(0.9)
+            .with_deadline_us(150_000)
+            .with_faults(plan),
+    );
+    let mut reports = Vec::new();
+    let mut submitted = 0u64;
+    for round in 0..4u64 {
+        for q in 0..24u64 {
+            let n = [1 << 15, 1 << 13, 4096][(q % 3) as usize];
+            let data = datagen::generate(Distribution::Uniform, n, round * 100 + q);
+            engine.submit(data, 32).unwrap();
+        }
+        let data = datagen::generate(Distribution::Uniform, 1 << 14, round);
+        engine.submit_with_deadline(data, 16, 1).unwrap();
+        engine.submit(vec![1.0, 2.0, 3.0], 0).unwrap(); // InvalidK
+        submitted += 26;
+        reports.push(engine.drain());
+    }
+    let snap = engine.snapshot();
+    let text = engine.render_prometheus();
+    type Field = fn(&DrainReport) -> u64;
+    let sum = |f: Field| reports.iter().map(f).sum::<u64>();
+
+    let completed = sum(|r| r.results.iter().filter(|q| q.outcome.is_ok()).count() as u64);
+    let failed = sum(|r| r.results.iter().filter(|q| q.outcome.is_err()).count() as u64);
+    assert_eq!(snap.queries_submitted, submitted);
+    assert_eq!(
+        sample(&text, "topk_engine_queries_submitted_total"),
+        submitted
+    );
+    assert_eq!(snap.queries_completed, completed);
+    assert_eq!(snap.queries_failed, failed);
+    assert_eq!(completed + failed, submitted);
+    assert_eq!(
+        sample(&text, "topk_engine_queries_total"),
+        completed + failed
+    );
+    for &(kind, n) in &snap.errors {
+        let in_reports = reports
+            .iter()
+            .flat_map(|r| &r.results)
+            .filter(|q| q.outcome.as_ref().is_err_and(|e| e.kind() == kind))
+            .count() as u64;
+        assert_eq!(n, in_reports, "errors[{kind}]");
+        assert_eq!(
+            sample(
+                &text,
+                &format!("topk_engine_query_errors_total{{kind=\"{kind}\"}}")
+            ),
+            n,
+            "errors[{kind}]"
+        );
+    }
+    assert_eq!(snap.errors.iter().map(|&(_, n)| n).sum::<u64>(), failed);
+
+    // Each field's counter is `topk_engine_<field>_total`, except the
+    // two rungs, which share one series under a `rung` label.
+    let series = |name: &str| match name {
+        "approx_two_stage" | "approx_bucketed" => {
+            format!("topk_engine_approx_served_total{{rung=\"{name}\"}}")
+        }
+        _ => format!("topk_engine_{name}_total"),
+    };
+    let views: [(&str, u64, Field); 8] = [
+        ("retries", snap.retries, |r| r.retries),
+        ("failovers", snap.failovers, |r| r.failovers),
+        ("cpu_fallbacks", snap.cpu_fallbacks, |r| r.cpu_fallbacks),
+        ("approx_two_stage", snap.approx_two_stage, |r| {
+            r.approx_two_stage
+        }),
+        ("approx_bucketed", snap.approx_bucketed, |r| {
+            r.approx_bucketed
+        }),
+        ("deadline_misses", snap.deadline_misses, |r| {
+            r.deadline_misses
+        }),
+        ("quarantines", snap.quarantines, |r| r.quarantines),
+        ("drains", snap.drains, |_| 1),
+    ];
+    for (name, in_snapshot, field) in views {
+        assert_eq!(
+            in_snapshot,
+            sample(&text, &series(name)),
+            "{name}: snapshot vs Prometheus"
+        );
+        assert_eq!(in_snapshot, sum(field), "{name}: snapshot vs drain reports");
+        // The workload must exercise what it checks. The bucketed rung
+        // is the exception: it is picked only when the two-stage rung
+        // is predicted to miss the deadline, and such a batch has so
+        // far always missed it too, so it counts as a deadline miss.
+        if name != "approx_bucketed" {
+            assert!(in_snapshot > 0, "{name}: the chaos drains never moved it");
+        }
     }
 }
