@@ -41,7 +41,7 @@ pub struct FlightEvent {
     /// (0.0 for submissions, which precede the drain clock).
     pub t_us: f64,
     /// Stable snake_case event kind (`submit`, `coalesce`, `launch`,
-    /// `degrade_rung`, `batch_ok`, `device_fault`, `retry`,
+    /// `degrade_rung`, `batch_ok`, `failover`, `device_fault`, `retry`,
     /// `deadline_miss`, `query_failed`, `fallback`, `breaker_open`,
     /// `device_failed`, `worker_panic`, `overdue`, `queue_reject`).
     /// `overdue` marks the instant the host abandoned an attempt that

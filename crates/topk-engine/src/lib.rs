@@ -8,7 +8,7 @@
 //! * [`TopKEngine`] owns a **bounded submission queue**
 //!   ([`TopKEngine::submit`] refuses work beyond
 //!   [`EngineConfig::queue_capacity`]) and a **pool of simulated
-//!   devices**, one worker thread per device.
+//!   devices**, driven by one sequential simulated-time loop.
 //! * [`TopKEngine::drain`] **coalesces** queued queries with the same
 //!   `(N, K)` shape into batches of up to
 //!   [`EngineConfig::coalescing_window`] queries. Each batch runs as
@@ -553,10 +553,9 @@ pub struct QueryResult {
 }
 
 /// Stage-level latency attribution: where a batch's (or a whole
-/// drain's) simulated time went. Filled from the device [`Timeline`]
-/// when the backend keeps one, otherwise reconstructed from the
-/// batch's [`KernelReport`]s; either way the attribution is pure
-/// post-hoc bookkeeping and never perturbs the schedule it measures.
+/// drain's) simulated time went, read off the device [`Timeline`]
+/// events. Pure post-hoc bookkeeping: it never perturbs the schedule
+/// it measures.
 ///
 /// [`Timeline`]: gpu_sim::Timeline
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -781,16 +780,7 @@ impl DrainReport {
     /// no query succeeded — empty and all-errored drains report zero,
     /// never NaN.
     pub fn mean_latency_us(&self) -> f64 {
-        let ok: Vec<f64> = self
-            .results
-            .iter()
-            .filter(|r| r.outcome.is_ok() && r.latency_us.is_finite())
-            .map(|r| r.latency_us)
-            .collect();
-        if ok.is_empty() {
-            return 0.0;
-        }
-        ok.iter().sum::<f64>() / ok.len() as f64
+        mean(&self.ok_values(|r| r.latency_us))
     }
 
     /// Exact latency percentile over successful queries (nearest-rank,
@@ -800,18 +790,9 @@ impl DrainReport {
     /// estimate in [`EngineMetrics`], this is computed from the raw
     /// per-query latencies.
     pub fn percentile_latency_us(&self, q: f64) -> f64 {
-        let mut ok: Vec<f64> = self
-            .results
-            .iter()
-            .filter(|r| r.outcome.is_ok() && r.latency_us.is_finite())
-            .map(|r| r.latency_us)
-            .collect();
-        if ok.is_empty() {
-            return 0.0;
-        }
+        let mut ok = self.ok_values(|r| r.latency_us);
         ok.sort_by(f64::total_cmp);
-        let rank = (q.clamp(0.0, 1.0) * ok.len() as f64).ceil().max(1.0) as usize;
-        ok[rank.min(ok.len()) - 1]
+        nearest_rank(&ok, q)
     }
 
     /// Median simulated latency over successful queries, µs.
@@ -831,18 +812,9 @@ impl DrainReport {
     /// report `1.0`; drains with no successful query report `0.0`
     /// (never NaN).
     pub fn percentile_recall(&self, q: f64) -> f64 {
-        let mut ok: Vec<f64> = self
-            .results
-            .iter()
-            .filter(|r| r.outcome.is_ok() && r.est_recall.is_finite())
-            .map(|r| r.est_recall)
-            .collect();
-        if ok.is_empty() {
-            return 0.0;
-        }
+        let mut ok = self.ok_values(|r| r.est_recall);
         ok.sort_by(|a, b| b.total_cmp(a));
-        let rank = (q.clamp(0.0, 1.0) * ok.len() as f64).ceil().max(1.0) as usize;
-        ok[rank.min(ok.len()) - 1]
+        nearest_rank(&ok, q)
     }
 
     /// Median estimated recall over successful queries.
@@ -859,16 +831,13 @@ impl DrainReport {
     /// Mean estimated recall over successful queries (`0.0` when none
     /// succeeded, never NaN).
     pub fn mean_est_recall(&self) -> f64 {
-        let ok: Vec<f64> = self
-            .results
-            .iter()
-            .filter(|r| r.outcome.is_ok() && r.est_recall.is_finite())
-            .map(|r| r.est_recall)
-            .collect();
-        if ok.is_empty() {
-            return 0.0;
-        }
-        ok.iter().sum::<f64>() / ok.len() as f64
+        mean(&self.ok_values(|r| r.est_recall))
+    }
+
+    /// `metric` of every successful query, non-finite values skipped.
+    fn ok_values(&self, metric: impl Fn(&QueryResult) -> f64) -> Vec<f64> {
+        let ok = self.results.iter().filter(|r| r.outcome.is_ok());
+        ok.map(metric).filter(|v| v.is_finite()).collect()
     }
 
     /// A deterministic text summary of the whole drain: one line per
@@ -954,6 +923,23 @@ impl DrainReport {
         out.push_str(&format!("digest {total:016x}\n"));
         out
     }
+}
+
+/// Arithmetic mean, `0.0` for no values.
+fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// Nearest-rank `q` quantile of `sorted`, `0.0` for no values.
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil().max(1.0) as usize;
+    sorted[rank.min(sorted.len()) - 1]
 }
 
 /// A submitted, not-yet-drained query.
@@ -1314,11 +1300,7 @@ impl TopKEngine {
                 .map(|(dev, s)| DeviceSnapshot {
                     device: dev,
                     busy_us: s.busy_us,
-                    utilization: if self.wall_us > 0.0 {
-                        s.busy_us / self.wall_us
-                    } else {
-                        0.0
-                    },
+                    utilization: self.utilization(s),
                     batches: s.batches,
                     kernel_launches: s.kernel_launches,
                     health: self.health_label(dev),
@@ -1328,15 +1310,10 @@ impl TopKEngine {
         }
     }
 
+    /// Health of device `dev` now: `"ok"`, `"quarantined"` or
+    /// `"failed"`.
     fn health_label(&self, dev: usize) -> &'static str {
-        let h = &self.health[dev];
-        if h.failed {
-            "failed"
-        } else if h.quarantined_until_us > self.gpus[dev].elapsed_us() {
-            "quarantined"
-        } else {
-            "ok"
-        }
+        self.health[dev].label(self.gpus[dev].elapsed_us())
     }
 
     /// Enqueue a top-K query (smallest `k` of `data`, with indices).
@@ -1438,105 +1415,60 @@ impl TopKEngine {
     /// injected driver crash) has the panic captured, the device
     /// marked failed, and its queries rescheduled; every submitted
     /// query reaches exactly one terminal [`QueryResult`].
+    ///
+    /// Each step picks the job that may start earliest, the device
+    /// that can start it soonest, the rung and budget of the attempt,
+    /// runs it under `catch_unwind`, and settles the outcome: answers
+    /// are delivered, a query's own fault is terminal, and an overdue
+    /// attempt, a device error and a worker panic share one fault path
+    /// (`DESIGN.md` §2).
     pub fn drain(&mut self) -> DrainReport {
-        let algo_before = topk_core::obs::counters().snapshot();
-        let mut jobs: Vec<Job> = coalesce(
+        let mut st = DrainState::new(self);
+        let batches = coalesce(
             std::mem::take(&mut self.pending),
             self.config.coalescing_window,
-        )
-        .into_iter()
-        .map(|batch| Job {
-            batch,
-            attempts: 0,
-            not_before_us: 0.0,
-            first_device: None,
-            last_error: None,
-        })
-        .collect();
-        for job in &jobs {
+        );
+        for batch in batches {
             self.flight.record(
                 "coalesce",
                 None,
-                Some(job.batch.span),
+                Some(batch.span),
                 0.0,
-                format!(
-                    "size={} n={} k={}",
-                    job.batch.queries.len(),
-                    job.batch.n,
-                    job.batch.k
-                ),
+                format!("size={} n={} k={}", batch.queries.len(), batch.n, batch.k),
             );
+            st.jobs.push(Job {
+                batch,
+                attempts: 0,
+                not_before_us: 0.0,
+                first_device: None,
+                last_error: None,
+            });
         }
-
-        let n_dev = self.gpus.len();
-        let drain_t0: Vec<f64> = self.gpus.iter().map(|g| g.elapsed_us()).collect();
-        let report_lo: Vec<usize> = self.gpus.iter().map(|g| g.reports().len()).collect();
-        let fault_lo: Vec<usize> = self.gpus.iter().map(|g| g.fault_events().len()).collect();
-        let san_lo: Vec<SanitizerCounts> = self
-            .gpus
-            .iter()
-            .map(|g| {
-                g.sanitizer_report()
-                    .map_or_else(SanitizerCounts::default, |r| r.counts)
-            })
-            .collect();
-        let quarantines_before: u64 = self.health.iter().map(|h| h.quarantines).sum();
-
         // Take the persistent selector out of `self` for the duration
         // of the drain (the loop needs `&mut self.gpus[dev]` alongside
         // it); restored before returning.
         let selector = std::mem::replace(&mut self.selector, SelectK::static_prior());
-        let mut results: Vec<QueryResult> = Vec::new();
-        let mut records: Vec<Vec<BatchRecord>> = vec![Vec::new(); n_dev];
-        let mut retries: u64 = 0;
-        let mut retry_penalty_us: f64 = 0.0;
-        // When the host last heard from each device, drain-relative:
-        // the end of its last attempt, or the overdue instant at which
-        // the host abandoned one. A device retired for an overdue
-        // attempt keeps running on its own clock; the host's view
-        // stops here.
-        let mut host_seen = vec![0.0_f64; n_dev];
 
-        while !jobs.is_empty() {
-            // Earliest-runnable job first; stable on ties so the
-            // schedule is a pure function of the workload.
-            let ji = (0..jobs.len())
-                .min_by(|&a, &b| jobs[a].not_before_us.total_cmp(&jobs[b].not_before_us))
-                .expect("jobs is non-empty");
-            let mut job = jobs.remove(ji);
-
-            // The non-failed device that can start the job soonest.
-            // Quarantined devices compete with their quarantine-end
-            // time: being scheduled after cooldown *is* the half-open
-            // re-probe.
-            let mut best: Option<(usize, f64)> = None;
-            for (dev, &t0) in drain_t0.iter().enumerate() {
-                if self.health[dev].failed {
-                    continue;
-                }
-                let rel_clock = self.gpus[dev].elapsed_us() - t0;
-                let quarantine_rel = (self.health[dev].quarantined_until_us - t0).max(0.0);
-                let start = rel_clock.max(job.not_before_us).max(quarantine_rel);
-                if best.is_none_or(|(_, s)| start < s) {
-                    best = Some((dev, start));
-                }
-            }
-            let Some((dev, start_at)) = best else {
+        while let Some(mut job) = st.next_job() {
+            let slots = st.marks.iter().enumerate().map(|(d, m)| DeviceSlot {
+                failed: self.health[d].failed,
+                clock_us: self.gpus[d].elapsed_us() - m.t0,
+                quarantine_end_us: (self.health[d].quarantined_until_us - m.t0).max(0.0),
+            });
+            let Some((dev, start_at)) = pick_device(slots, job.not_before_us) else {
                 // Pool exhausted: every device failed. Degrade at the
                 // latest time the host heard from any device.
-                let now = host_seen.iter().copied().fold(job.not_before_us, f64::max);
+                let now = st
+                    .host_seen
+                    .iter()
+                    .fold(job.not_before_us, |t, &s| t.max(s));
                 let step_seq = self.flight.recorded();
-                degrade_job(job, now, &self.config, &mut results, &mut self.flight);
-                self.maybe_post_mortem(
-                    step_seq, &selector, &records, &drain_t0, &fault_lo, &san_lo,
-                );
+                st.degrade(job, now, &self.config, &mut self.flight);
+                st.maybe_post_mortem(self, step_seq, &selector);
                 continue;
             };
-
             job.attempts += 1;
-            if job.first_device.is_none() {
-                job.first_device = Some(dev);
-            }
+            job.first_device.get_or_insert(dev);
             let step_seq = self.flight.recorded();
             self.flight.record(
                 "launch",
@@ -1551,135 +1483,16 @@ impl TopKEngine {
                     job.batch.k
                 ),
             );
+            let rung = self.choose_rung(&job.batch, dev, start_at, &selector);
+            let approx = rung.map(|c| c.algo);
+            let (rec, outcome) =
+                self.run_attempt(&mut st, &job.batch, (dev, start_at), &selector, approx);
 
-            // Accuracy-ladder decision for this attempt: batches whose
-            // recall target is below 1.0 may degrade to an approximate
-            // rung when the deadline is at risk or chaos has halved
-            // the healthy pool. Re-decided per attempt — a retry after
-            // a fault sees the shrunken pool.
-            let healthy = (0..n_dev)
-                .filter(|&d| {
-                    !self.health[d].failed
-                        && self.health[d].quarantined_until_us <= self.gpus[d].elapsed_us()
-                })
-                .count();
-            let rung = decide_rung(
-                &job.batch,
-                self.gpus[dev].spec(),
-                &selector,
-                start_at,
-                healthy,
-                n_dev,
-            );
-            let approx = rung.as_ref().map(|c| c.algo);
-            let budget_us = attempt_budget_us(&job.batch, self.gpus[dev].spec(), &selector, approx);
-            if let Some(choice) = &rung {
-                self.flight.record(
-                    "degrade_rung",
-                    Some(dev),
-                    Some(job.batch.span),
-                    start_at,
-                    format!(
-                        "rung={} cause={} recall_target={:.4} est_recall={:.4}",
-                        choice.rung().label(),
-                        choice.cause,
-                        job.batch.recall_target,
-                        choice.est_recall
-                    ),
-                );
-            }
-
-            // Advance the device to the job's start (backoff and
-            // quarantine waits are simulated idle time).
-            let rel_clock = self.gpus[dev].elapsed_us() - drain_t0[dev];
-            if start_at > rel_clock {
-                self.gpus[dev].host_compute("scheduler wait", start_at - rel_clock);
-            }
-            let start_us = self.gpus[dev].elapsed_us() - drain_t0[dev];
-            let batch_report_lo = self.gpus[dev].reports().len() - report_lo[dev];
-            let timeline_lo = self.gpus[dev].timeline().map(|t| t.events().len());
-            self.gpus[dev].set_span(job.batch.span);
-            let outcome = {
-                let gpu = self.gpus[dev].as_mut();
-                let batch = &job.batch;
-                catch_unwind(AssertUnwindSafe(|| {
-                    run_batch(gpu, &selector, batch, approx)
-                }))
-            };
-            self.gpus[dev].clear_span();
-            let end_us = self.gpus[dev].elapsed_us() - drain_t0[dev];
-            let overdue_at = start_us + OVERDUE_FACTOR * budget_us;
-            let overdue = end_us > overdue_at;
-            host_seen[dev] = if overdue { overdue_at } else { end_us };
-            let stages = batch_stages(
-                self.gpus[dev].as_ref(),
-                timeline_lo,
-                (
-                    report_lo[dev] + batch_report_lo,
-                    self.gpus[dev].reports().len(),
-                ),
-                start_us,
-            );
-            records[dev].push(BatchRecord {
-                device: dev,
-                size: job.batch.queries.len(),
-                n: job.batch.n,
-                k: job.batch.k,
-                span: job.batch.span,
-                report_range: (
-                    batch_report_lo,
-                    self.gpus[dev].reports().len() - report_lo[dev],
-                ),
-                start_us,
-                end_us,
-                budget_us,
-                overdue_us: overdue.then_some(overdue_at),
-                stages,
-            });
-
-            match outcome {
-                _ if overdue => {
-                    // Timing alone decides: hung, stalled or merely
-                    // late, the attempt had not finished when the host
-                    // stopped waiting. Its outcome is discarded (even
-                    // an answer), the device is retired as a hang
-                    // would retire it, and the job moves on from the
-                    // overdue instant instead of the watchdog.
-                    self.flight.record(
-                        "overdue",
-                        Some(dev),
-                        Some(job.batch.span),
-                        overdue_at,
-                        format!(
-                            "attempt={} budget_us={budget_us:.1} overdue_at_us={overdue_at:.1}",
-                            job.attempts
-                        ),
-                    );
-                    let clock = self.gpus[dev].elapsed_us();
-                    note_fault(&mut self.health[dev], true, &self.config.breaker, clock);
-                    self.flight.record(
-                        "device_failed",
-                        Some(dev),
-                        None,
-                        overdue_at,
-                        "overdue".to_string(),
-                    );
-                    job.last_error = Some(TopKError::Sim(SimError::DeviceHang {
-                        timeout_us: (overdue_at - start_us).ceil() as u64,
-                    }));
-                    requeue_or_degrade(
-                        job,
-                        overdue_at,
-                        &self.config,
-                        &mut jobs,
-                        &mut results,
-                        &mut retries,
-                        &mut retry_penalty_us,
-                        &mut self.flight,
-                    );
-                }
-                Ok(Ok(outs)) => {
-                    self.health[dev].consecutive_faults = 0;
+            let verdict = settle(rec.overdue_us, outcome);
+            let clock_us = self.gpus[dev].elapsed_us();
+            let trip = self.health[dev].settle(&verdict, &self.config.breaker, clock_us);
+            match verdict {
+                Verdict::Answered(outs) => {
                     // Close the tuning loop: the batch's measured
                     // service time recalibrates its plan bucket and
                     // lands in the tuner's drift table — exact
@@ -1687,367 +1500,233 @@ impl TopKEngine {
                     // pollute the exact cost model they were chosen to
                     // undercut.
                     if rung.is_none() {
-                        selector.observe(
-                            self.gpus[dev].spec(),
-                            &job.batch.shape(),
-                            end_us - start_us,
-                        );
+                        let service_us = rec.end_us - rec.start_us;
+                        selector.observe(self.gpus[dev].spec(), &job.batch.shape(), service_us);
                     }
-                    self.flight.record(
-                        "batch_ok",
-                        Some(dev),
-                        Some(job.batch.span),
-                        end_us,
-                        format!("size={} attempt={}", job.batch.queries.len(), job.attempts),
-                    );
-                    if job.first_device != Some(dev) {
-                        self.flight.record(
-                            "failover",
-                            Some(dev),
-                            Some(job.batch.span),
-                            end_us,
-                            format!("first_device={}", job.first_device.unwrap_or(dev)),
-                        );
-                    }
-                    let attempt_retries = job.attempts - 1;
-                    // Approximation is the serving rung even when the
-                    // attempt also failed over: the accuracy trade is
-                    // the fact the caller must see.
-                    let served_ok = match &rung {
-                        Some(choice) => Served::Approx {
-                            rung: choice.rung(),
-                            retries: attempt_retries,
-                        },
-                        None if job.first_device == Some(dev) => Served::Gpu {
-                            retries: attempt_retries,
-                        },
-                        None => Served::Failover {
-                            retries: attempt_retries,
-                        },
-                    };
-                    let est_recall = rung.as_ref().map_or(1.0, |c| c.est_recall);
-                    for (q, out) in job.batch.queries.iter().zip(outs) {
-                        let (served, est_recall, outcome) = match q.deadline_us {
-                            // The answer exists but arrived late: the
-                            // deadline verdict wins.
-                            Some(dl) if end_us > dl as f64 => {
-                                self.flight.record(
-                                    "deadline_miss",
-                                    Some(dev),
-                                    Some(q.span),
-                                    end_us,
-                                    format!("id={} deadline_us={dl}", q.id),
-                                );
-                                (
-                                    Served::Failed,
-                                    0.0,
-                                    Err(TopKError::DeadlineExceeded { deadline_us: dl }),
-                                )
-                            }
-                            _ => (served_ok, est_recall, Ok(out)),
-                        };
-                        results.push(QueryResult {
-                            id: q.id,
-                            span: q.span,
-                            batch_span: job.batch.span,
-                            device: dev,
-                            batch_size: job.batch.queries.len(),
-                            queue_wait_us: start_us,
-                            latency_us: end_us,
-                            served,
-                            est_recall,
-                            outcome,
-                        });
-                    }
+                    self.deliver(&mut st, &job, &rec, rung, outs);
                 }
-                Ok(Err(e)) if !e.is_device_fault() => {
-                    // The query's own fault (bad k, bad shape): it
-                    // would fail identically on any device, so it is
-                    // terminal and does not count against the device.
+                Verdict::QueryFault(e) => {
+                    let (start_us, end_us) = (rec.start_us, rec.end_us);
                     for q in &job.batch.queries {
-                        self.flight.record(
-                            "query_failed",
-                            Some(dev),
-                            Some(q.span),
-                            end_us,
-                            format!("id={} kind={}", q.id, e.kind()),
-                        );
-                        results.push(QueryResult {
-                            id: q.id,
-                            span: q.span,
-                            batch_span: job.batch.span,
-                            device: dev,
-                            batch_size: job.batch.queries.len(),
-                            queue_wait_us: start_us,
-                            latency_us: end_us,
-                            served: Served::Failed,
-                            est_recall: 0.0,
-                            outcome: Err(e.clone()),
-                        });
+                        let detail = format!("id={} kind={}", q.id, e.kind());
+                        self.flight
+                            .record("query_failed", Some(dev), Some(q.span), end_us, detail);
+                        let result = job.batch.result(q, dev, (start_us, end_us), Err(e.clone()));
+                        st.results.push(result);
                     }
                 }
-                Ok(Err(e)) => {
-                    // Device fault: update the breaker, then retry,
-                    // fail over or degrade.
-                    let severe = matches!(&e, TopKError::Sim(SimError::DeviceHang { .. }));
-                    let clock = self.gpus[dev].elapsed_us();
-                    self.flight.record(
-                        "device_fault",
-                        Some(dev),
-                        Some(job.batch.span),
-                        end_us,
-                        format!("kind={} severe={severe}", e.kind()),
-                    );
-                    let was_failed = self.health[dev].failed;
-                    let was_quarantines = self.health[dev].quarantines;
-                    note_fault(&mut self.health[dev], severe, &self.config.breaker, clock);
-                    if self.health[dev].failed && !was_failed {
-                        self.flight.record(
-                            "device_failed",
-                            Some(dev),
-                            None,
-                            end_us,
-                            format!("kind={}", e.kind()),
-                        );
-                    } else if self.health[dev].quarantines > was_quarantines {
-                        self.flight.record(
-                            "breaker_open",
-                            Some(dev),
-                            None,
-                            end_us,
-                            format!(
-                                "consecutive={} cooldown_us={:.0}",
-                                self.health[dev].consecutive_faults,
-                                self.config.breaker.cooldown_us
-                            ),
-                        );
-                    }
-                    job.last_error = Some(e);
-                    requeue_or_degrade(
-                        job,
-                        end_us,
-                        &self.config,
-                        &mut jobs,
-                        &mut results,
-                        &mut retries,
-                        &mut retry_penalty_us,
-                        &mut self.flight,
-                    );
-                }
-                Err(_panic) => {
-                    // Worker panic (injected driver crash or a real
-                    // bug): isolate it — mark the device failed and
-                    // reschedule the batch. The device keeps whatever
-                    // scratch its mid-flight batch held; it is out of
-                    // the pool for good.
-                    let clock = self.gpus[dev].elapsed_us();
-                    self.flight.record(
-                        "worker_panic",
-                        Some(dev),
-                        Some(job.batch.span),
-                        end_us,
-                        String::new(),
-                    );
-                    let was_failed = self.health[dev].failed;
-                    note_fault(&mut self.health[dev], true, &self.config.breaker, clock);
-                    if !was_failed {
-                        self.flight.record(
-                            "device_failed",
-                            Some(dev),
-                            None,
-                            end_us,
-                            "worker panic".to_string(),
-                        );
-                    }
-                    requeue_or_degrade(
-                        job,
-                        end_us,
-                        &self.config,
-                        &mut jobs,
-                        &mut results,
-                        &mut retries,
-                        &mut retry_penalty_us,
-                        &mut self.flight,
-                    );
-                }
+                Verdict::DeviceFault(fault) => self.fault(&mut st, job, &rec, fault, trip),
             }
-            self.maybe_post_mortem(step_seq, &selector, &records, &drain_t0, &fault_lo, &san_lo);
+            st.maybe_post_mortem(self, step_seq, &selector);
         }
 
-        let devices: Vec<DeviceReport> = records
-            .into_iter()
-            .enumerate()
-            .map(|(dev, batches)| {
-                let gpu = &self.gpus[dev];
-                DeviceReport {
-                    device: dev,
-                    batches,
-                    elapsed_us: gpu.elapsed_us() - drain_t0[dev],
-                    clock_start_us: drain_t0[dev],
-                    mem_high_water: gpu.mem_high_water(),
-                    mem_allocated_after: gpu.mem_allocated(),
-                    kernel_reports: gpu.reports()[report_lo[dev]..].to_vec(),
-                    failed: self.health[dev].failed,
-                    quarantined: self.health[dev].quarantined_until_us > gpu.elapsed_us(),
-                    fault_events: gpu.fault_events()[fault_lo[dev]..].to_vec(),
-                    sanitizer: gpu
-                        .sanitizer_report()
-                        .map_or_else(SanitizerCounts::default, |r| r.counts)
-                        .delta_since(&san_lo[dev]),
-                }
-            })
-            .collect();
-
-        results.sort_by_key(|r| r.id);
-        let algo = topk_core::obs::counters()
-            .snapshot()
-            .delta_since(&algo_before);
-        let failovers = results
-            .iter()
-            .filter(|r| matches!(r.served, Served::Failover { .. }))
-            .count() as u64;
-        let cpu_fallbacks = results
-            .iter()
-            .filter(|r| matches!(r.served, Served::CpuFallback { .. }))
-            .count() as u64;
-        let approx_two_stage = results
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.served,
-                    Served::Approx {
-                        rung: ApproxRung::TwoStage,
-                        ..
-                    }
-                )
-            })
-            .count() as u64;
-        let approx_bucketed = results
-            .iter()
-            .filter(|r| {
-                matches!(
-                    r.served,
-                    Served::Approx {
-                        rung: ApproxRung::Bucketed,
-                        ..
-                    }
-                )
-            })
-            .count() as u64;
-        let deadline_misses = results
-            .iter()
-            .filter(|r| matches!(r.outcome, Err(TopKError::DeadlineExceeded { .. })))
-            .count() as u64;
-        let quarantines =
-            self.health.iter().map(|h| h.quarantines).sum::<u64>() - quarantines_before;
-        let overdue = devices
-            .iter()
-            .flat_map(|d| &d.batches)
-            .filter(|b| b.overdue_us.is_some())
-            .count() as u64;
-        let mut sanitizer = SanitizerCounts::default();
-        for d in &devices {
-            sanitizer.add(&d.sanitizer);
-        }
-        // Stage attribution: device stages summed over batches,
-        // queue-wait summed over queries, retry backoff from the
-        // requeue path.
-        let mut stages = StageBreakdown::default();
-        for b in devices.iter().flat_map(|d| &d.batches) {
-            stages.transfer_us += b.stages.transfer_us;
-            stages.kernel_us += b.stages.kernel_us;
-            stages.merge_us += b.stages.merge_us;
-            stages.other_us += b.stages.other_us;
-        }
-        stages.queue_wait_us = results
-            .iter()
-            .map(|r| r.queue_wait_us)
-            .filter(|w| w.is_finite())
-            .sum();
-        stages.retry_penalty_us = retry_penalty_us;
-        let report = DrainReport {
-            results,
-            devices,
-            algo,
-            retries,
-            failovers,
-            cpu_fallbacks,
-            approx_two_stage,
-            approx_bucketed,
-            deadline_misses,
-            quarantines,
-            overdue,
-            sanitizer,
-            stages,
-        };
+        let report = st.into_report(self);
         self.selector = selector;
         self.record_drain(&report);
         report
     }
 
-    /// If a trigger-kind event landed at or after `step_seq`, snapshot
-    /// the flight recorder — plus per-device state and the drift table
-    /// and calibration of `selector`, the drain's live dispatcher —
-    /// into a post-mortem JSON document.
-    /// Bounded: once [`POST_MORTEM_CAP`] documents are retained,
-    /// further triggers only count
-    /// [`TopKEngine::post_mortems_dropped`].
-    fn maybe_post_mortem(
-        &mut self,
-        step_seq: u64,
-        selector: &SelectK,
-        records: &[Vec<BatchRecord>],
-        drain_t0: &[f64],
-        fault_lo: &[usize],
-        san_lo: &[SanitizerCounts],
-    ) {
-        let Some((trigger, trigger_seq)) =
-            self.flight.trigger_since(step_seq).map(|e| (e.kind, e.seq))
-        else {
-            return;
-        };
-        if self.post_mortems.len() >= POST_MORTEM_CAP {
-            self.post_mortems_dropped += 1;
-            return;
+    /// A device's busy time over the sum of drain makespans (0 before
+    /// the first drain).
+    fn utilization(&self, stats: &DeviceStats) -> f64 {
+        if self.wall_us > 0.0 {
+            stats.busy_us / self.wall_us
+        } else {
+            0.0
         }
-        let clock_us = (0..self.gpus.len())
-            .map(|d| self.gpus[d].elapsed_us() - drain_t0[d])
-            .fold(0.0, f64::max);
-        let devices: Vec<PmDevice> = (0..self.gpus.len())
-            .map(|d| {
-                let gpu = &self.gpus[d];
-                PmDevice {
-                    device: d,
-                    health: self.health_label(d),
-                    elapsed_us: gpu.elapsed_us() - drain_t0[d],
-                    batches: records[d].len(),
-                    faults: self.health[d].total_faults,
-                    fault_events: gpu.fault_events()[fault_lo[d]..]
-                        .iter()
-                        .map(|f| format!("{}@{}", f.kind.label(), f.seq))
-                        .collect(),
-                    sanitizer_occurrences: gpu
-                        .sanitizer_report()
-                        .map_or_else(SanitizerCounts::default, |r| r.counts)
-                        .delta_since(&san_lo[d])
-                        .total(),
+    }
+
+    /// Accuracy-ladder decision for one attempt on `dev` (see
+    /// [`decide_rung`]), recorded as a `degrade_rung` event when it
+    /// approximates. Re-decided per attempt — a retry after a fault
+    /// sees the shrunken pool.
+    fn choose_rung(
+        &mut self,
+        batch: &Batch,
+        dev: usize,
+        start_at: f64,
+        selector: &SelectK,
+    ) -> Option<RungChoice> {
+        let (pool, spec) = (self.gpus.len(), self.gpus[dev].spec());
+        let healthy = (0..pool).filter(|&d| self.health_label(d) == "ok").count();
+        let rung = decide_rung(batch, spec, selector, start_at, healthy, pool);
+        if let Some(choice) = &rung {
+            self.flight.record(
+                "degrade_rung",
+                Some(dev),
+                Some(batch.span),
+                start_at,
+                format!(
+                    "rung={} cause={} recall_target={:.4} est_recall={:.4}",
+                    choice.rung().label(),
+                    choice.cause,
+                    batch.recall_target,
+                    choice.est_recall
+                ),
+            );
+        }
+        rung
+    }
+
+    /// Run `batch` on the device picked for it from its start time
+    /// under `catch_unwind`, append the attempt's [`BatchRecord`] and
+    /// note when the host last heard from the device. Returns the
+    /// record and the raw outcome.
+    fn run_attempt(
+        &mut self,
+        st: &mut DrainState,
+        batch: &Batch,
+        (dev, start_at): (usize, f64),
+        selector: &SelectK,
+        approx: Option<TunedAlgo>,
+    ) -> (BatchRecord, BatchOutcome) {
+        let (t0, reports_lo) = (st.marks[dev].t0, st.marks[dev].reports);
+        let budget_us = attempt_budget_us(batch, self.gpus[dev].spec(), selector, approx);
+        let gpu = self.gpus[dev].as_mut();
+        // Advance the device to the job's start (backoff and
+        // quarantine waits are simulated idle time).
+        let rel_clock = gpu.elapsed_us() - t0;
+        if start_at > rel_clock {
+            gpu.host_compute("scheduler wait", start_at - rel_clock);
+        }
+        let start_us = gpu.elapsed_us() - t0;
+        let batch_reports_lo = gpu.reports().len() - reports_lo;
+        let timeline_lo = gpu.timeline().map_or(0, |t| t.events().len());
+        gpu.set_span(batch.span);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            run_batch(&mut *gpu, selector, batch, approx)
+        }));
+        gpu.clear_span();
+        let end_us = gpu.elapsed_us() - t0;
+        let overdue_at = start_us + OVERDUE_FACTOR * budget_us;
+        let overdue_us = (end_us > overdue_at).then_some(overdue_at);
+        st.host_seen[dev] = overdue_us.unwrap_or(end_us);
+        let rec = BatchRecord {
+            device: dev,
+            size: batch.queries.len(),
+            n: batch.n,
+            k: batch.k,
+            span: batch.span,
+            report_range: (batch_reports_lo, gpu.reports().len() - reports_lo),
+            start_us,
+            end_us,
+            budget_us,
+            overdue_us,
+            stages: batch_stages(gpu, timeline_lo, start_us),
+        };
+        st.records[dev].push(rec.clone());
+        (rec, outcome)
+    }
+
+    /// Deliver a batch's answers: record the success (and a failover
+    /// when the job started elsewhere), then settle each query — an
+    /// answer that arrived after the query's deadline becomes a
+    /// deadline miss.
+    fn deliver(
+        &mut self,
+        st: &mut DrainState,
+        job: &Job,
+        rec: &BatchRecord,
+        rung: Option<RungChoice>,
+        outs: Vec<QueryOutput>,
+    ) {
+        let (dev, end_us, span) = (rec.device, rec.end_us, Some(job.batch.span));
+        let flight = &mut self.flight;
+        let detail = format!("size={} attempt={}", job.batch.queries.len(), job.attempts);
+        flight.record("batch_ok", Some(dev), span, end_us, detail);
+        let first_device = job.first_device.unwrap_or(dev);
+        if first_device != dev {
+            let detail = format!("first_device={first_device}");
+            flight.record("failover", Some(dev), span, end_us, detail);
+        }
+        let retries = job.attempts - 1;
+        // Approximation is the serving rung even when the attempt also
+        // failed over: the accuracy trade is the fact the caller must
+        // see.
+        let served = match &rung {
+            Some(choice) => Served::Approx {
+                rung: choice.rung(),
+                retries,
+            },
+            None if first_device == dev => Served::Gpu { retries },
+            None => Served::Failover { retries },
+        };
+        let est_recall = rung.map_or(1.0, |c| c.est_recall);
+        for (q, out) in job.batch.queries.iter().zip(outs) {
+            let answer = match q.deadline_us {
+                // The answer exists but arrived late: the deadline
+                // verdict wins.
+                Some(dl) if end_us > dl as f64 => {
+                    let detail = format!("id={} deadline_us={dl}", q.id);
+                    flight.record("deadline_miss", Some(dev), Some(q.span), end_us, detail);
+                    Err(TopKError::DeadlineExceeded { deadline_us: dl })
                 }
-            })
-            .collect();
-        let calibration = selector
-            .tuner()
-            .map(|t| t.calibration_snapshot())
-            .unwrap_or_default();
-        let json = flight::render_post_mortem(
-            trigger,
-            trigger_seq,
-            clock_us,
-            &self.flight,
-            &devices,
-            &drift_rows(selector),
-            &calibration,
-        );
-        self.post_mortems.push(json);
+                _ => Ok((served, est_recall, out)),
+            };
+            let result = job.batch.result(q, dev, (rec.start_us, end_us), answer);
+            st.results.push(result);
+        }
+    }
+
+    /// The one fault path for an overdue attempt, a device error or a
+    /// worker panic: report the fault, record what it did to the
+    /// device's breaker (`trip`, from [`HealthState::settle`]), and
+    /// requeue or degrade the job from the instant the host learnt of
+    /// it — the overdue instant, not the device's own end, for an
+    /// abandoned attempt.
+    fn fault(
+        &mut self,
+        st: &mut DrainState,
+        mut job: Job,
+        rec: &BatchRecord,
+        fault: DeviceFault,
+        trip: Option<Trip>,
+    ) {
+        let (dev, severe) = (rec.device, fault.severe());
+        let (now, kind, detail, cause, error) = match fault {
+            DeviceFault::Overdue { at_us: now } => {
+                // Hung, stalled or merely late, the attempt had not
+                // finished when the host stopped waiting.
+                let detail = format!(
+                    "attempt={} budget_us={:.1} overdue_at_us={now:.1}",
+                    job.attempts, rec.budget_us
+                );
+                let timeout_us = (now - rec.start_us).ceil() as u64;
+                let hang = TopKError::Sim(SimError::DeviceHang { timeout_us });
+                (now, "overdue", detail, "overdue".to_string(), Some(hang))
+            }
+            DeviceFault::Error(e) => {
+                let detail = format!("kind={} severe={severe}", e.kind());
+                let cause = format!("kind={}", e.kind());
+                (rec.end_us, "device_fault", detail, cause, Some(e))
+            }
+            // A panic carries no typed error; the job keeps its last.
+            DeviceFault::Panic => (
+                rec.end_us,
+                "worker_panic",
+                String::new(),
+                "worker panic".into(),
+                None,
+            ),
+        };
+        let flight = &mut self.flight;
+        flight.record(kind, Some(dev), Some(job.batch.span), now, detail);
+        let breaker_event = trip.map(|trip| match trip {
+            Trip::Retired => ("device_failed", cause),
+            Trip::Quarantined => {
+                let consecutive = self.health[dev].consecutive_faults;
+                let cooldown_us = self.config.breaker.cooldown_us;
+                let detail = format!("consecutive={consecutive} cooldown_us={cooldown_us:.0}");
+                ("breaker_open", detail)
+            }
+        });
+        if let Some((kind, detail)) = breaker_event {
+            flight.record(kind, Some(dev), None, now, detail);
+        }
+        if error.is_some() {
+            job.last_error = error;
+        }
+        st.requeue_or_degrade(job, now, &self.config, &mut self.flight);
     }
 
     /// Fold one drain's outcome into the metrics registry and the
@@ -2069,21 +1748,15 @@ impl TopKEngine {
                 .kernel_launches
                 .add(d.kernel_reports.len() as u64);
         }
-        let wall = self.wall_us;
         for (dev, stats) in self.device_stats.iter().enumerate() {
-            let util = if wall > 0.0 {
-                stats.busy_us / wall
-            } else {
-                0.0
-            };
-            self.metrics.set_device_utilization(dev, util);
+            self.metrics
+                .set_device_utilization(dev, self.utilization(stats));
         }
         self.metrics.record_resilience(report);
-        let quarantined = (0..self.gpus.len())
-            .filter(|&d| self.health_label(d) == "quarantined")
-            .count();
-        let failed = self.health.iter().filter(|h| h.failed).count();
-        self.metrics.set_health_gauges(quarantined, failed);
+        let labels: Vec<_> = (0..self.gpus.len()).map(|d| self.health_label(d)).collect();
+        let count = |label| labels.iter().filter(|&&l| l == label).count();
+        self.metrics
+            .set_health_gauges(count("quarantined"), count("failed"));
         self.metrics.record_algo(&report.algo);
         // Continuous profiling exports: per-kernel roofline rows, the
         // drain's stage attribution, cost-model drift and the tuner's
@@ -2102,6 +1775,327 @@ impl TopKEngine {
         }
         self.metrics.drains.inc();
         self.metrics.queue_depth.set(0.0);
+    }
+}
+
+/// Where one device stood when a drain began: everything before these
+/// marks belongs to earlier drains.
+struct DeviceMark {
+    /// Device clock, µs.
+    t0: f64,
+    /// Kernel reports already recorded.
+    reports: usize,
+    /// Injected faults already fired.
+    faults: usize,
+    /// Sanitizer occurrences already flagged.
+    sanitizer: SanitizerCounts,
+    /// Breaker quarantines already tripped.
+    quarantines: u64,
+}
+
+/// The state of one drain in flight.
+struct DrainState {
+    /// Algorithm-level counters at drain start.
+    algo_before: AlgoSnapshot,
+    /// One mark per pool device.
+    marks: Vec<DeviceMark>,
+    /// Jobs waiting to run or to be retried.
+    jobs: Vec<Job>,
+    /// Attempts executed, per device.
+    records: Vec<Vec<BatchRecord>>,
+    /// Terminal results, in settling order.
+    results: Vec<QueryResult>,
+    /// When the host last heard from each device, drain-relative: the
+    /// end of its last attempt, or the overdue instant at which the
+    /// host abandoned one. A device retired for an overdue attempt
+    /// keeps running on its own clock; the host's view stops here.
+    host_seen: Vec<f64>,
+    /// Batch re-executions after device faults.
+    retries: u64,
+    /// Simulated backoff injected between retries, µs.
+    retry_penalty_us: f64,
+}
+
+impl DrainState {
+    /// Mark every device of `engine` at drain start.
+    fn new(engine: &TopKEngine) -> Self {
+        let marks: Vec<DeviceMark> = engine
+            .gpus
+            .iter()
+            .zip(&engine.health)
+            .map(|(gpu, health)| DeviceMark {
+                t0: gpu.elapsed_us(),
+                reports: gpu.reports().len(),
+                faults: gpu.fault_events().len(),
+                sanitizer: sanitizer_counts(gpu.as_ref()),
+                quarantines: health.quarantines,
+            })
+            .collect();
+        let n_dev = engine.gpus.len();
+        DrainState {
+            algo_before: topk_core::obs::counters().snapshot(),
+            marks,
+            jobs: Vec::new(),
+            records: vec![Vec::new(); n_dev],
+            results: Vec::new(),
+            host_seen: vec![0.0; n_dev],
+            retries: 0,
+            retry_penalty_us: 0.0,
+        }
+    }
+
+    /// Remove the job that may start earliest; the first queued wins
+    /// ties, so the schedule is a pure function of the workload.
+    fn next_job(&mut self) -> Option<Job> {
+        let jobs = &self.jobs;
+        let ji = (0..jobs.len())
+            .min_by(|&a, &b| jobs[a].not_before_us.total_cmp(&jobs[b].not_before_us))?;
+        Some(self.jobs.remove(ji))
+    }
+
+    /// After a device fault: requeue `job` with backoff while it has
+    /// retry budget left — terminating now the queries whose deadline
+    /// the backoff already overruns — and degrade it otherwise.
+    fn requeue_or_degrade(
+        &mut self,
+        mut job: Job,
+        now_us: f64,
+        config: &EngineConfig,
+        flight: &mut FlightRecorder,
+    ) {
+        let Some(backoff) = config.retry.backoff_after(job.attempts) else {
+            return self.degrade(job, now_us, config, flight);
+        };
+        job.not_before_us = now_us + backoff;
+        let (expired, live) =
+            split_expired(std::mem::take(&mut job.batch.queries), job.not_before_us);
+        job.batch.queries = live;
+        let device = job.first_device.unwrap_or(0);
+        for q in expired {
+            let dl = q.deadline_us.expect("only deadlined queries expire");
+            flight.record(
+                "deadline_miss",
+                job.first_device,
+                Some(q.span),
+                now_us,
+                format!("id={} deadline_us={dl} expired during backoff", q.id),
+            );
+            let miss = Err(TopKError::DeadlineExceeded { deadline_us: dl });
+            let result = job.batch.result(&q, device, (now_us, now_us), miss);
+            // An expired query leaves its batch: it is reported alone.
+            self.results.push(QueryResult {
+                batch_size: 1,
+                ..result
+            });
+        }
+        if job.batch.queries.is_empty() {
+            return;
+        }
+        self.retries += 1;
+        self.retry_penalty_us += backoff;
+        flight.record(
+            "retry",
+            job.first_device,
+            Some(job.batch.span),
+            now_us,
+            format!("attempt={} backoff_us={backoff:.1}", job.attempts),
+        );
+        self.jobs.push(job);
+    }
+
+    /// Last rung of the ladder: serve every query of `job` on the CPU
+    /// reference path (when enabled and the shape allows), otherwise
+    /// terminate it with the job's last device error or
+    /// [`TopKError::PoolExhausted`].
+    fn degrade(
+        &mut self,
+        job: Job,
+        now_us: f64,
+        config: &EngineConfig,
+        flight: &mut FlightRecorder,
+    ) {
+        let device = job.first_device.unwrap_or(0);
+        for q in &job.batch.queries {
+            let (latency_us, answer) = if !config.cpu_fallback {
+                let err = job.last_error.clone().unwrap_or(TopKError::PoolExhausted {
+                    attempts: job.attempts,
+                });
+                (now_us, Err(err))
+            } else if let Some(err) = TopKError::check_k("cpu-fallback", q.data.len(), q.k, None) {
+                (now_us, Err(err))
+            } else {
+                let end = now_us + cpu_select_us(q.data.len());
+                match q.deadline_us {
+                    Some(dl) if end > dl as f64 => {
+                        (end, Err(TopKError::DeadlineExceeded { deadline_us: dl }))
+                    }
+                    _ => {
+                        let (values, indices) = topk_cpu::heap_topk(&q.data, q.k);
+                        let served = Served::CpuFallback {
+                            retries: job.attempts,
+                        };
+                        // The CPU reference path is exact.
+                        let out = QueryOutput {
+                            values,
+                            indices,
+                            k: q.k,
+                        };
+                        (end, Ok((served, 1.0, out)))
+                    }
+                }
+            };
+            let (kind, detail) = match &answer {
+                Err(TopKError::DeadlineExceeded { deadline_us }) => (
+                    "deadline_miss",
+                    format!("id={} deadline_us={deadline_us}", q.id),
+                ),
+                Err(e) => ("query_failed", format!("id={} kind={}", q.id, e.kind())),
+                Ok(_) => (
+                    "fallback",
+                    format!("id={} cpu attempts={}", q.id, job.attempts),
+                ),
+            };
+            flight.record(kind, Some(device), Some(q.span), latency_us, detail);
+            let result = job.batch.result(q, device, (now_us, latency_us), answer);
+            self.results.push(result);
+        }
+    }
+
+    /// If a trigger-kind event landed at or after `step_seq`, snapshot
+    /// the flight recorder — plus per-device state and the drift table
+    /// and calibration of `selector`, the drain's live dispatcher —
+    /// into a post-mortem JSON document.
+    /// Bounded: once [`POST_MORTEM_CAP`] documents are retained,
+    /// further triggers only count
+    /// [`TopKEngine::post_mortems_dropped`].
+    fn maybe_post_mortem(&self, engine: &mut TopKEngine, step_seq: u64, selector: &SelectK) {
+        let Some((trigger, trigger_seq)) = engine
+            .flight
+            .trigger_since(step_seq)
+            .map(|e| (e.kind, e.seq))
+        else {
+            return;
+        };
+        if engine.post_mortems.len() >= POST_MORTEM_CAP {
+            engine.post_mortems_dropped += 1;
+            return;
+        }
+        let devices: Vec<PmDevice> = (engine.gpus.iter().zip(&self.marks))
+            .enumerate()
+            .map(|(d, (gpu, m))| PmDevice {
+                device: d,
+                health: engine.health_label(d),
+                elapsed_us: gpu.elapsed_us() - m.t0,
+                batches: self.records[d].len(),
+                faults: engine.health[d].total_faults,
+                fault_events: gpu.fault_events()[m.faults..]
+                    .iter()
+                    .map(|f| format!("{}@{}", f.kind.label(), f.seq))
+                    .collect(),
+                sanitizer_occurrences: sanitizer_counts(gpu.as_ref())
+                    .delta_since(&m.sanitizer)
+                    .total(),
+            })
+            .collect();
+        let clock_us = devices.iter().map(|d| d.elapsed_us).fold(0.0, f64::max);
+        let calibration = selector
+            .tuner()
+            .map(|t| t.calibration_snapshot())
+            .unwrap_or_default();
+        let json = flight::render_post_mortem(
+            trigger,
+            trigger_seq,
+            clock_us,
+            &engine.flight,
+            &devices,
+            &drift_rows(selector),
+            &calibration,
+        );
+        engine.post_mortems.push(json);
+    }
+
+    /// Close the drain: one report per device (everything past its
+    /// mark), results in submission order, and the drain's tallies.
+    fn into_report(self, engine: &TopKEngine) -> DrainReport {
+        let devices: Vec<DeviceReport> = (self.records.into_iter().zip(&self.marks))
+            .enumerate()
+            .map(|(dev, (batches, m))| {
+                let gpu = engine.gpus[dev].as_ref();
+                let health = &engine.health[dev];
+                DeviceReport {
+                    device: dev,
+                    batches,
+                    elapsed_us: gpu.elapsed_us() - m.t0,
+                    clock_start_us: m.t0,
+                    mem_high_water: gpu.mem_high_water(),
+                    mem_allocated_after: gpu.mem_allocated(),
+                    kernel_reports: gpu.reports()[m.reports..].to_vec(),
+                    failed: health.failed,
+                    quarantined: health.quarantined_at(gpu.elapsed_us()),
+                    fault_events: gpu.fault_events()[m.faults..].to_vec(),
+                    sanitizer: sanitizer_counts(gpu).delta_since(&m.sanitizer),
+                }
+            })
+            .collect();
+        let mut results = self.results;
+        results.sort_by_key(|r| r.id);
+        let algo = topk_core::obs::counters()
+            .snapshot()
+            .delta_since(&self.algo_before);
+        let quarantines = (engine.health.iter().zip(&self.marks))
+            .map(|(h, m)| h.quarantines - m.quarantines)
+            .sum();
+        // Device stages summed over batches, queue-wait summed over
+        // queries, retry backoff from the requeue path.
+        let mut stages = StageBreakdown::default();
+        let mut sanitizer = SanitizerCounts::default();
+        let mut overdue = 0;
+        for d in &devices {
+            sanitizer.add(&d.sanitizer);
+            for b in &d.batches {
+                stages.transfer_us += b.stages.transfer_us;
+                stages.kernel_us += b.stages.kernel_us;
+                stages.merge_us += b.stages.merge_us;
+                stages.other_us += b.stages.other_us;
+                overdue += u64::from(b.overdue_us.is_some());
+            }
+        }
+        stages.queue_wait_us = results
+            .iter()
+            .map(|r| r.queue_wait_us)
+            .filter(|w| w.is_finite())
+            .sum();
+        stages.retry_penalty_us = self.retry_penalty_us;
+        let mut report = DrainReport {
+            results,
+            devices,
+            algo,
+            retries: self.retries,
+            failovers: 0,
+            cpu_fallbacks: 0,
+            approx_two_stage: 0,
+            approx_bucketed: 0,
+            deadline_misses: 0,
+            quarantines,
+            overdue,
+            sanitizer,
+            stages,
+        };
+        for r in &report.results {
+            match r.served {
+                Served::Failover { .. } => report.failovers += 1,
+                Served::CpuFallback { .. } => report.cpu_fallbacks += 1,
+                Served::Approx { rung, .. } => match rung {
+                    ApproxRung::TwoStage => report.approx_two_stage += 1,
+                    ApproxRung::Bucketed => report.approx_bucketed += 1,
+                },
+                Served::Gpu { .. } | Served::Failed => {}
+            }
+            if let Err(TopKError::DeadlineExceeded { .. }) = r.outcome {
+                report.deadline_misses += 1;
+            }
+        }
+        report
     }
 }
 
@@ -2256,94 +2250,207 @@ fn attempt_budget_us(
     transfer_us + predicted.unwrap_or(f64::INFINITY)
 }
 
-/// Fold one device fault into the breaker state: severe faults (hang,
-/// panic, overdue attempt) fail the device outright; otherwise `threshold` consecutive
-/// faults trip a quarantine until `cooldown_us` past `clock_us`.
-fn note_fault(health: &mut HealthState, severe: bool, breaker: &BreakerConfig, clock_us: f64) {
-    health.total_faults += 1;
-    health.consecutive_faults += 1;
-    if severe {
-        health.failed = true;
-    } else if health.consecutive_faults >= breaker.threshold {
-        health.quarantined_until_us = clock_us + breaker.cooldown_us;
-        health.quarantines += 1;
+/// One pool device as the scheduler sees it, drain-relative µs.
+#[derive(Debug, Clone, Copy)]
+struct DeviceSlot {
+    /// Retired for good: never scheduled again.
+    failed: bool,
+    /// The device clock.
+    clock_us: f64,
+    /// End of its breaker quarantine (0 when none is running).
+    quarantine_end_us: f64,
+}
+
+/// The non-failed device that can start a job runnable from
+/// `not_before_us` soonest, with that start time; the lowest index wins
+/// ties. A quarantined device competes with its quarantine end: being
+/// scheduled after the cooldown *is* the half-open re-probe. `None`
+/// when every device has failed.
+fn pick_device(
+    slots: impl IntoIterator<Item = DeviceSlot>,
+    not_before_us: f64,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (dev, slot) in slots.into_iter().enumerate() {
+        if slot.failed {
+            continue;
+        }
+        let start = slot.clock_us.max(not_before_us).max(slot.quarantine_end_us);
+        if best.is_none_or(|(_, s)| start < s) {
+            best = Some((dev, start));
+        }
+    }
+    best
+}
+
+/// What one batch attempt returned: answers, a typed error, or a
+/// captured panic.
+type BatchOutcome = std::thread::Result<Result<Vec<QueryOutput>, TopKError>>;
+
+/// How the host reads one finished attempt.
+#[derive(Debug)]
+enum Verdict {
+    /// One answer per row of the batch.
+    Answered(Vec<QueryOutput>),
+    /// The queries' own fault (bad k, bad shape): it would fail
+    /// identically on any device, so it is terminal and does not count
+    /// against the device.
+    QueryFault(TopKError),
+    /// The device failed the attempt.
+    DeviceFault(DeviceFault),
+}
+
+/// Why a device failed an attempt.
+#[derive(Debug)]
+enum DeviceFault {
+    /// Still running at its overdue instant `at_us`: abandoned
+    /// whatever it would have returned.
+    Overdue { at_us: f64 },
+    /// A typed device error.
+    Error(TopKError),
+    /// The worker panicked (injected driver crash or a real bug).
+    Panic,
+}
+
+impl DeviceFault {
+    /// Severe faults retire the device outright: a hang, a panic or an
+    /// overdue attempt.
+    fn severe(&self) -> bool {
+        match self {
+            DeviceFault::Error(e) => matches!(e, TopKError::Sim(SimError::DeviceHang { .. })),
+            DeviceFault::Overdue { .. } | DeviceFault::Panic => true,
+        }
     }
 }
 
-/// After a device fault: requeue the job with backoff if it has retry
-/// budget left (expiring queries whose deadline the backoff already
-/// overruns), otherwise degrade it.
-#[allow(clippy::too_many_arguments)]
-fn requeue_or_degrade(
-    mut job: Job,
-    now_us: f64,
-    config: &EngineConfig,
-    jobs: &mut Vec<Job>,
-    results: &mut Vec<QueryResult>,
-    retries: &mut u64,
-    retry_penalty_us: &mut f64,
-    flight: &mut FlightRecorder,
-) {
-    if job.attempts > config.retry.max_retries {
-        degrade_job(job, now_us, config, results, flight);
-        return;
+/// Classify a finished attempt. Timing decides first: an attempt the
+/// host abandoned at its overdue instant (`overdue_us`, see
+/// [`BatchRecord::overdue_us`]) is a device fault whatever it returned,
+/// an answer included.
+fn settle(overdue_us: Option<f64>, outcome: BatchOutcome) -> Verdict {
+    match (overdue_us, outcome) {
+        (Some(at_us), _) => Verdict::DeviceFault(DeviceFault::Overdue { at_us }),
+        (None, Ok(Ok(outs))) => Verdict::Answered(outs),
+        (None, Ok(Err(e))) if !e.is_device_fault() => Verdict::QueryFault(e),
+        (None, Ok(Err(e))) => Verdict::DeviceFault(DeviceFault::Error(e)),
+        (None, Err(_panic)) => Verdict::DeviceFault(DeviceFault::Panic),
     }
-    let backoff = config.retry.backoff_us
-        * config
-            .retry
-            .backoff_multiplier
-            .powi(job.attempts.saturating_sub(1) as i32);
-    job.not_before_us = now_us + backoff.max(0.0);
+}
 
-    // A retry cannot start before `not_before_us`; queries whose
-    // deadline is already behind it are hopeless — terminate them now
-    // instead of burning a device attempt on them.
-    let not_before = job.not_before_us;
-    let (expired, live): (Vec<Pending>, Vec<Pending>) = job
-        .batch
-        .queries
+/// What a device fault did to the device's circuit breaker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Trip {
+    /// `threshold` consecutive faults opened the breaker.
+    Quarantined,
+    /// A severe fault took the device out of the pool for good.
+    Retired,
+}
+
+impl HealthState {
+    /// Fold one attempt's verdict into the breaker at absolute device
+    /// clock `clock_us`. An answer closes it and a query's own fault
+    /// leaves it alone. A device fault counts against the device: a
+    /// severe one retires it, otherwise `threshold` consecutive faults
+    /// quarantine it until `cooldown_us` past `clock_us`.
+    fn settle(
+        &mut self,
+        verdict: &Verdict,
+        breaker: &BreakerConfig,
+        clock_us: f64,
+    ) -> Option<Trip> {
+        let fault = match verdict {
+            Verdict::Answered(_) => {
+                self.consecutive_faults = 0;
+                return None;
+            }
+            Verdict::QueryFault(_) => return None,
+            Verdict::DeviceFault(fault) => fault,
+        };
+        self.total_faults += 1;
+        self.consecutive_faults += 1;
+        if fault.severe() {
+            self.failed = true;
+            Some(Trip::Retired)
+        } else if self.consecutive_faults >= breaker.threshold {
+            self.quarantined_until_us = clock_us + breaker.cooldown_us;
+            self.quarantines += 1;
+            Some(Trip::Quarantined)
+        } else {
+            None
+        }
+    }
+
+    /// Whether a breaker quarantine is still running at absolute device
+    /// clock `clock_us`.
+    fn quarantined_at(&self, clock_us: f64) -> bool {
+        self.quarantined_until_us > clock_us
+    }
+
+    /// `"failed"`, `"quarantined"` or `"ok"` at absolute device clock
+    /// `clock_us`.
+    fn label(&self, clock_us: f64) -> &'static str {
+        if self.failed {
+            "failed"
+        } else if self.quarantined_at(clock_us) {
+            "quarantined"
+        } else {
+            "ok"
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Simulated backoff before retrying a job after its `attempts`-th
+    /// attempt, µs — `backoff_us × backoff_multiplier^(attempts − 1)`,
+    /// never negative — or `None` once the retry budget is spent.
+    fn backoff_after(&self, attempts: u32) -> Option<f64> {
+        (attempts <= self.max_retries).then(|| {
+            let growth = self
+                .backoff_multiplier
+                .powi(attempts.saturating_sub(1) as i32);
+            (self.backoff_us * growth).max(0.0)
+        })
+    }
+}
+
+/// Split `queries` into those whose deadline falls before
+/// `not_before_us` — hopeless, since their retry cannot start earlier —
+/// and the rest, each in order.
+fn split_expired(queries: Vec<Pending>, not_before_us: f64) -> (Vec<Pending>, Vec<Pending>) {
+    queries
         .into_iter()
-        .partition(|q| q.deadline_us.is_some_and(|dl| (dl as f64) < not_before));
-    job.batch.queries = live;
-    for q in expired {
-        let dl = q.deadline_us.expect("partition keeps only deadlined");
-        flight.record(
-            "deadline_miss",
-            job.first_device,
-            Some(q.span),
-            now_us,
-            format!("id={} deadline_us={dl} expired during backoff", q.id),
-        );
-        results.push(QueryResult {
+        .partition(|q| q.deadline_us.is_some_and(|dl| (dl as f64) < not_before_us))
+}
+
+impl Batch {
+    /// The terminal result of member `q`, run on `device` after
+    /// waiting `queue_wait_us` and settled at `latency_us`: an answer
+    /// with the rung that served it and its estimated recall, or an
+    /// error (served [`Served::Failed`], recall 0).
+    fn result(
+        &self,
+        q: &Pending,
+        device: usize,
+        (queue_wait_us, latency_us): (f64, f64),
+        answer: Result<(Served, f64, QueryOutput), TopKError>,
+    ) -> QueryResult {
+        let (served, est_recall, outcome) = match answer {
+            Ok((served, est_recall, out)) => (served, est_recall, Ok(out)),
+            Err(e) => (Served::Failed, 0.0, Err(e)),
+        };
+        QueryResult {
             id: q.id,
             span: q.span,
-            batch_span: job.batch.span,
-            device: job.first_device.unwrap_or(0),
-            batch_size: 1,
-            queue_wait_us: now_us,
-            latency_us: now_us,
-            served: Served::Failed,
-            est_recall: 0.0,
-            outcome: Err(TopKError::DeadlineExceeded { deadline_us: dl }),
-        });
+            batch_span: self.span,
+            device,
+            batch_size: self.queries.len(),
+            queue_wait_us,
+            latency_us,
+            served,
+            est_recall,
+            outcome,
+        }
     }
-    if job.batch.queries.is_empty() {
-        return;
-    }
-    *retries += 1;
-    *retry_penalty_us += backoff.max(0.0);
-    flight.record(
-        "retry",
-        job.first_device,
-        Some(job.batch.span),
-        now_us,
-        format!(
-            "attempt={} backoff_us={:.1}",
-            job.attempts,
-            backoff.max(0.0)
-        ),
-    );
-    jobs.push(job);
 }
 
 /// Simulated host cost of the CPU reference selection, µs: a fixed
@@ -2354,138 +2461,33 @@ fn cpu_select_us(n: usize) -> f64 {
     20.0 + n as f64 * 0.002
 }
 
-/// Last rung of the ladder: serve every query of the job on the CPU
-/// reference path (when enabled and the shape allows), otherwise
-/// terminate it with the job's last device error or
-/// [`TopKError::PoolExhausted`].
-fn degrade_job(
-    job: Job,
-    now_us: f64,
-    config: &EngineConfig,
-    results: &mut Vec<QueryResult>,
-    flight: &mut FlightRecorder,
-) {
-    let device = job.first_device.unwrap_or(0);
-    let batch_size = job.batch.queries.len();
-    for q in &job.batch.queries {
-        let (served, latency_us, outcome) = if !config.cpu_fallback {
-            let err = job.last_error.clone().unwrap_or(TopKError::PoolExhausted {
-                attempts: job.attempts,
-            });
-            (Served::Failed, now_us, Err(err))
-        } else if let Some(err) = TopKError::check_k("cpu-fallback", q.data.len(), q.k, None) {
-            (Served::Failed, now_us, Err(err))
-        } else {
-            let end = now_us + cpu_select_us(q.data.len());
-            match q.deadline_us {
-                Some(dl) if end > dl as f64 => (
-                    Served::Failed,
-                    end,
-                    Err(TopKError::DeadlineExceeded { deadline_us: dl }),
-                ),
-                _ => {
-                    let (values, indices) = topk_cpu::heap_topk(&q.data, q.k);
-                    (
-                        Served::CpuFallback {
-                            retries: job.attempts,
-                        },
-                        end,
-                        Ok(QueryOutput {
-                            values,
-                            indices,
-                            k: q.k,
-                        }),
-                    )
-                }
-            }
-        };
-        match &outcome {
-            Err(TopKError::DeadlineExceeded { deadline_us }) => {
-                flight.record(
-                    "deadline_miss",
-                    Some(device),
-                    Some(q.span),
-                    latency_us,
-                    format!("id={} deadline_us={deadline_us}", q.id),
-                );
-            }
-            Err(e) => {
-                flight.record(
-                    "query_failed",
-                    Some(device),
-                    Some(q.span),
-                    latency_us,
-                    format!("id={} kind={}", q.id, e.kind()),
-                );
-            }
-            Ok(_) => {
-                flight.record(
-                    "fallback",
-                    Some(device),
-                    Some(q.span),
-                    latency_us,
-                    format!("id={} cpu attempts={}", q.id, job.attempts),
-                );
-            }
-        }
-        results.push(QueryResult {
-            id: q.id,
-            span: q.span,
-            batch_span: job.batch.span,
-            device,
-            batch_size,
-            queue_wait_us: now_us,
-            latency_us,
-            served,
-            // The CPU reference path is exact; failures carry none.
-            est_recall: if outcome.is_ok() { 1.0 } else { 0.0 },
-            outcome,
-        });
-    }
+/// The sanitizer occurrences `gpu` has flagged so far (zero when it
+/// keeps no sanitizer).
+fn sanitizer_counts(gpu: &dyn Backend) -> SanitizerCounts {
+    gpu.sanitizer_report()
+        .map_or_else(SanitizerCounts::default, |r| r.counts)
 }
 
-/// Attribute one batch's device time to stages. The primary source is
-/// the device [`Timeline`](gpu_sim::Timeline) slice the batch appended
-/// (`timeline_lo..`); backends that keep no timeline fall back to the
-/// batch's kernel reports (`abs_report_range` indexes the device's
-/// lifetime report list), which still split kernel vs. merge exec time
-/// and launch overhead but cannot see transfers.
-fn batch_stages(
-    gpu: &dyn Backend,
-    timeline_lo: Option<usize>,
-    abs_report_range: (usize, usize),
-    queue_wait_us: f64,
-) -> StageBreakdown {
+/// Attribute one batch's device time to stages from the device
+/// [`Timeline`](gpu_sim::Timeline) events the batch appended
+/// (`timeline_lo..`): copies are transfer, kernels whose name contains
+/// "merge" are merge, other kernels are kernel, everything else is
+/// other. Every backend keeps a timeline (a wrapper forwards its
+/// device's); one without would attribute no device time.
+fn batch_stages(gpu: &dyn Backend, timeline_lo: usize, queue_wait_us: f64) -> StageBreakdown {
     let mut s = StageBreakdown {
         queue_wait_us,
         ..StageBreakdown::default()
     };
-    let is_merge = |name: &str| name.contains("merge");
-    match (timeline_lo, gpu.timeline()) {
-        (Some(lo), Some(tl)) => {
-            for e in &tl.events()[lo..] {
-                match &e.kind {
-                    EventKind::Kernel(name) => {
-                        if is_merge(name) {
-                            s.merge_us += e.dur_us;
-                        } else {
-                            s.kernel_us += e.dur_us;
-                        }
-                    }
-                    EventKind::MemcpyHtoD | EventKind::MemcpyDtoH => s.transfer_us += e.dur_us,
-                    _ => s.other_us += e.dur_us,
-                }
-            }
-        }
-        _ => {
-            for r in &gpu.reports()[abs_report_range.0..abs_report_range.1] {
-                if is_merge(&r.name) {
-                    s.merge_us += r.cost.exec_us;
-                } else {
-                    s.kernel_us += r.cost.exec_us;
-                }
-                s.other_us += r.cost.launch_us;
-            }
+    let events = gpu
+        .timeline()
+        .map_or(&[][..], |tl| &tl.events()[timeline_lo..]);
+    for e in events {
+        match &e.kind {
+            EventKind::Kernel(name) if name.contains("merge") => s.merge_us += e.dur_us,
+            EventKind::Kernel(_) => s.kernel_us += e.dur_us,
+            EventKind::MemcpyHtoD | EventKind::MemcpyDtoH => s.transfer_us += e.dur_us,
+            _ => s.other_us += e.dur_us,
         }
     }
     s
@@ -2548,36 +2550,29 @@ fn run_batch(
     approx: Option<TunedAlgo>,
 ) -> Result<Vec<QueryOutput>, TopKError> {
     let mut ws = ScratchGuard::new();
-    let r = batch_passes(gpu, &mut ws, selector, batch, approx);
+    let mut passes = || -> Result<Vec<QueryOutput>, TopKError> {
+        let rows: Vec<&[f32]> = batch.queries.iter().map(|q| q.data.as_slice()).collect();
+        let input = DeviceMatrix::try_htod_rows(gpu, &format!("batch{}", batch.span), &rows)?;
+        ws.adopt(input.buffer());
+        let (values, indices) =
+            selector.try_select_matrix(gpu, &input, batch.k, batch.sketch, approx)?;
+        ws.adopt(values.buffer());
+        ws.adopt(indices.buffer());
+        let k = values.cols();
+        let (values, indices) = gpu.try_dtoh_pair(values.buffer(), indices.buffer())?;
+        Ok(values
+            .chunks(k)
+            .zip(indices.chunks(k))
+            .map(|(v, i)| QueryOutput {
+                values: v.to_vec(),
+                indices: i.to_vec(),
+                k,
+            })
+            .collect())
+    };
+    let outs = passes();
     ws.release(gpu);
-    r
-}
-
-fn batch_passes(
-    gpu: &mut dyn Backend,
-    ws: &mut ScratchGuard,
-    selector: &SelectK,
-    batch: &Batch,
-    approx: Option<TunedAlgo>,
-) -> Result<Vec<QueryOutput>, TopKError> {
-    let rows: Vec<&[f32]> = batch.queries.iter().map(|q| q.data.as_slice()).collect();
-    let input = DeviceMatrix::try_htod_rows(gpu, &format!("batch{}", batch.span), &rows)?;
-    ws.adopt(input.buffer());
-    let (values, indices) =
-        selector.try_select_matrix(gpu, &input, batch.k, batch.sketch, approx)?;
-    ws.adopt(values.buffer());
-    ws.adopt(indices.buffer());
-    let k = values.cols();
-    let (values, indices) = gpu.try_dtoh_pair(values.buffer(), indices.buffer())?;
-    Ok(values
-        .chunks(k)
-        .zip(indices.chunks(k))
-        .map(|(v, i)| QueryOutput {
-            values: v.to_vec(),
-            indices: i.to_vec(),
-            k,
-        })
-        .collect())
+    outs
 }
 
 #[cfg(test)]

@@ -1260,3 +1260,196 @@ fn late_answer_is_discarded_at_the_overdue_instant() {
     let out = r.outcome.as_ref().unwrap();
     verify_topk(&data, 32, &out.values, &out.indices).unwrap();
 }
+
+// ---- drain policies -----------------------------------------------------
+
+fn slot(failed: bool, clock_us: f64, quarantine_end_us: f64) -> DeviceSlot {
+    DeviceSlot {
+        failed,
+        clock_us,
+        quarantine_end_us,
+    }
+}
+
+#[test]
+fn pick_device_skips_failed_devices() {
+    // Device 0 is idle but retired; device 2 frees first of the rest.
+    let slots = [
+        slot(true, 0.0, 0.0),
+        slot(false, 30.0, 0.0),
+        slot(false, 20.0, 0.0),
+    ];
+    assert_eq!(pick_device(slots, 0.0), Some((2, 20.0)));
+    assert_eq!(pick_device([slot(true, 0.0, 0.0); 3], 0.0), None);
+}
+
+#[test]
+fn pick_device_lets_a_quarantined_device_compete_at_its_cooldown_end() {
+    // Device 0 is idle but quarantined until 50; device 1 frees at 80.
+    let slots = [slot(false, 10.0, 50.0), slot(false, 80.0, 0.0)];
+    assert_eq!(pick_device(slots, 0.0), Some((0, 50.0)));
+    // A cooldown that outlasts the busy sibling loses to it.
+    let slots = [slot(false, 10.0, 90.0), slot(false, 80.0, 0.0)];
+    assert_eq!(pick_device(slots, 0.0), Some((1, 80.0)));
+    // The job's backoff outlasts both.
+    assert_eq!(
+        pick_device([slot(false, 10.0, 50.0)], 70.0),
+        Some((0, 70.0))
+    );
+}
+
+#[test]
+fn pick_device_breaks_ties_to_the_lowest_index() {
+    // Devices 1 (cooldown end) and 2 (clock) both start at 25.
+    let slots = [
+        slot(false, 40.0, 0.0),
+        slot(false, 10.0, 25.0),
+        slot(false, 25.0, 0.0),
+    ];
+    assert_eq!(pick_device(slots, 0.0), Some((1, 25.0)));
+    // Every device waits for the job's not-before time.
+    let slots = [slot(false, 5.0, 0.0), slot(false, 0.0, 0.0)];
+    assert_eq!(pick_device(slots, 100.0), Some((0, 100.0)));
+}
+
+#[test]
+fn backoff_grows_geometrically_until_the_retry_budget_is_spent() {
+    let retry = RetryPolicy {
+        max_retries: 3,
+        backoff_us: 100.0,
+        backoff_multiplier: 3.0,
+    };
+    assert_eq!(retry.backoff_after(1), Some(100.0));
+    assert_eq!(retry.backoff_after(2), Some(300.0));
+    assert_eq!(retry.backoff_after(3), Some(900.0));
+    assert_eq!(retry.backoff_after(4), None);
+    let no_retries = RetryPolicy {
+        max_retries: 0,
+        ..retry
+    };
+    assert_eq!(no_retries.backoff_after(1), None);
+    // A negative base never schedules a retry into the past.
+    let negative = RetryPolicy {
+        backoff_us: -5.0,
+        ..retry
+    };
+    assert_eq!(negative.backoff_after(2), Some(0.0));
+}
+
+#[test]
+fn only_queries_whose_deadline_falls_before_the_retry_expire() {
+    let mut batch = batch_of(&vec![vec![1.0f32; 64]; 5], 4);
+    let deadlines = [Some(100), None, Some(250), Some(249), Some(400)];
+    for (q, dl) in batch.queries.iter_mut().zip(deadlines) {
+        q.deadline_us = dl;
+    }
+    let (expired, live) = split_expired(batch.queries, 250.0);
+    let ids = |qs: &[Pending]| qs.iter().map(|q| q.id).collect::<Vec<_>>();
+    // A deadline exactly at the retry's start can still be met.
+    assert_eq!(ids(&expired), [0, 3]);
+    assert_eq!(ids(&live), [1, 2, 4]);
+}
+
+fn answers(rows: usize) -> BatchOutcome {
+    let out = QueryOutput {
+        values: vec![1.0],
+        indices: vec![0],
+        k: 1,
+    };
+    Ok(Ok(vec![out; rows]))
+}
+
+fn device_error(e: SimError) -> BatchOutcome {
+    Ok(Err(TopKError::Sim(e)))
+}
+
+fn worker_panic() -> BatchOutcome {
+    Err(Box::new("driver crash"))
+}
+
+const BREAKER: BreakerConfig = BreakerConfig {
+    threshold: 3,
+    cooldown_us: 100.0,
+};
+
+#[test]
+fn settle_lets_overdue_beat_any_outcome() {
+    let v = settle(Some(42.0), answers(2));
+    assert!(matches!(v, Verdict::DeviceFault(DeviceFault::Overdue { at_us }) if at_us == 42.0));
+    for late in [
+        worker_panic(),
+        device_error(SimError::DeviceHang { timeout_us: 9 }),
+    ] {
+        let v = settle(Some(7.0), late);
+        assert!(matches!(
+            v,
+            Verdict::DeviceFault(DeviceFault::Overdue { .. })
+        ));
+    }
+    assert!(matches!(settle(None, answers(2)), Verdict::Answered(o) if o.len() == 2));
+    assert!(matches!(
+        settle(None, worker_panic()),
+        Verdict::DeviceFault(DeviceFault::Panic)
+    ));
+}
+
+#[test]
+fn a_query_fault_leaves_device_health_untouched() {
+    let bad_k = TopKError::check_k("test", 8, 0, None).unwrap();
+    let v = settle(None, Ok(Err(bad_k)));
+    assert!(matches!(v, Verdict::QueryFault(_)));
+    let mut h = HealthState {
+        consecutive_faults: 2,
+        ..HealthState::default()
+    };
+    for _ in 0..5 {
+        assert_eq!(h.settle(&v, &BREAKER, 0.0), None);
+    }
+    assert_eq!(h.consecutive_faults, 2);
+    assert_eq!(h.total_faults, 0);
+    assert_eq!(h.quarantines, 0);
+    assert_eq!(h.label(0.0), "ok");
+}
+
+#[test]
+fn a_severe_fault_retires_the_device() {
+    let hang = device_error(SimError::DeviceHang { timeout_us: 50 });
+    for outcome in [hang, worker_panic()] {
+        let v = settle(None, outcome);
+        assert!(matches!(&v, Verdict::DeviceFault(f) if f.severe()));
+        let mut h = HealthState::default();
+        assert_eq!(h.settle(&v, &BREAKER, 0.0), Some(Trip::Retired));
+        assert!(h.failed);
+        assert_eq!((h.total_faults, h.quarantines), (1, 0));
+        assert_eq!(h.label(0.0), "failed");
+    }
+    let overdue = settle(Some(3.0), answers(1));
+    let mut h = HealthState::default();
+    assert_eq!(h.settle(&overdue, &BREAKER, 0.0), Some(Trip::Retired));
+}
+
+#[test]
+fn a_non_severe_fault_quarantines_exactly_at_threshold() {
+    let transient = || {
+        let kernel = "k".to_string();
+        settle(None, device_error(SimError::TransientFault { kernel }))
+    };
+    assert!(matches!(transient(), Verdict::DeviceFault(f) if !f.severe()));
+    let mut h = HealthState::default();
+    assert_eq!(h.settle(&transient(), &BREAKER, 10.0), None);
+    assert_eq!(h.settle(&transient(), &BREAKER, 20.0), None);
+    assert_eq!(h.label(20.0), "ok");
+    assert_eq!(
+        h.settle(&transient(), &BREAKER, 30.0),
+        Some(Trip::Quarantined)
+    );
+    assert_eq!(h.quarantined_until_us, 130.0);
+    assert_eq!((h.quarantines, h.failed), (1, false));
+    assert_eq!(h.label(129.0), "quarantined");
+    assert_eq!(h.label(130.0), "ok");
+    // An answer closes the breaker; the count starts again.
+    assert_eq!(h.settle(&settle(None, answers(1)), &BREAKER, 140.0), None);
+    assert_eq!(h.consecutive_faults, 0);
+    assert_eq!(h.settle(&transient(), &BREAKER, 150.0), None);
+    assert_eq!(h.total_faults, 4);
+}
