@@ -288,7 +288,7 @@ mod tests {
                 let mut gpu = Gpu::new(DeviceSpec::a100());
                 let input = gpu.htod("in", &data);
                 let out = RowWiseTopK::default().select(&mut gpu, &input, k);
-                let (cpu_v, _) = topk_cpu::heap_topk(&data, k);
+                let (cpu_v, _) = topk_cpu::heap_topk(&data, k).unwrap();
                 let mut got = out.values.to_vec();
                 let mut want = cpu_v;
                 got.sort_by(f32::total_cmp);

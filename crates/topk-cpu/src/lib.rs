@@ -17,9 +17,11 @@
 //! Both return `(values, indices)` with the same smallest-K multiset
 //! contract as the GPU algorithms (ties by count, `-0.0 < +0.0`,
 //! NaN-free input), so they double as fast host references for the
-//! test-suite and as CPU baselines in examples.
+//! test-suite and as CPU baselines in examples. An invalid `k` is a
+//! typed [`TopKError::InvalidK`], as on the device path, never a panic.
 
 use topk_core::keys::RadixKey;
+use topk_core::TopKError;
 
 /// One (ordered-bits key, input index) candidate.
 type Entry<O> = (O, u32);
@@ -33,15 +35,23 @@ type Entry<O> = (O, u32);
 ///
 /// ```
 /// let data = [5.0f32, -1.0, 3.0, -1.0, 9.0];
-/// let (values, indices) = topk_cpu::heap_topk(&data, 3);
+/// let (values, indices) = topk_cpu::heap_topk(&data, 3).unwrap();
 /// assert_eq!(values, vec![-1.0, -1.0, 3.0]);
 /// assert_eq!(data[indices[2] as usize], 3.0);
+/// assert!(topk_cpu::heap_topk(&data, 0).is_err());
+/// assert!(topk_cpu::heap_topk(&data, 6).is_err());
 /// ```
 ///
-/// # Panics
-/// If `k == 0` or `k > input.len()`.
-pub fn heap_topk<T: RadixKey>(input: &[T], k: usize) -> (Vec<T>, Vec<u32>) {
-    assert!(k >= 1 && k <= input.len(), "invalid k = {k}");
+/// # Errors
+/// [`TopKError::InvalidK`] if `k == 0` or `k > input.len()`.
+pub fn heap_topk<T: RadixKey>(input: &[T], k: usize) -> Result<(Vec<T>, Vec<u32>), TopKError> {
+    check_k("heap_topk", input, k)?;
+    Ok(unpack::<T>(heap_select(input, k)))
+}
+
+/// The `k` smallest entries of `input` (`1 <= k <= input.len()`),
+/// ascending.
+fn heap_select<T: RadixKey>(input: &[T], k: usize) -> Vec<Entry<T::Ordered>> {
     let mut heap: Vec<Entry<T::Ordered>> = Vec::with_capacity(k);
 
     for (i, &v) in input.iter().enumerate() {
@@ -56,10 +66,6 @@ pub fn heap_topk<T: RadixKey>(input: &[T], k: usize) -> (Vec<T>, Vec<u32>) {
             sift_down(&mut heap, 0);
         }
     }
-    if heap.len() < k {
-        // Unreached (k <= n), kept for clarity.
-        build_max_heap(&mut heap);
-    }
 
     // Heap-sort the survivors into ascending order.
     let mut entries = heap;
@@ -69,17 +75,24 @@ pub fn heap_topk<T: RadixKey>(input: &[T], k: usize) -> (Vec<T>, Vec<u32>) {
         entries.swap(0, end);
         sift_down(&mut entries[..end], 0);
     }
-    unpack::<T>(entries)
+    entries
 }
 
 /// Parallel chunked top-K: split the input into per-thread chunks, run
-/// [`heap_topk`] privately on each (no shared state, no locks), then
-/// merge the `threads × K` survivors with one final heap pass.
+/// the sequential heap select privately on each (no shared state, no
+/// locks), then merge the `threads × K` survivors with one final sort.
 ///
 /// `threads == 0` means "use available parallelism". Results are
 /// identical (as a multiset) to the sequential algorithm.
-pub fn parallel_topk<T: RadixKey>(input: &[T], k: usize, threads: usize) -> (Vec<T>, Vec<u32>) {
-    assert!(k >= 1 && k <= input.len(), "invalid k = {k}");
+///
+/// # Errors
+/// [`TopKError::InvalidK`] if `k == 0` or `k > input.len()`.
+pub fn parallel_topk<T: RadixKey>(
+    input: &[T],
+    k: usize,
+    threads: usize,
+) -> Result<(Vec<T>, Vec<u32>), TopKError> {
+    check_k("parallel_topk", input, k)?;
     let threads = if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -100,13 +113,12 @@ pub fn parallel_topk<T: RadixKey>(input: &[T], k: usize, threads: usize) -> (Vec
             .enumerate()
             .map(|(ci, slice)| {
                 s.spawn(move |_| {
-                    let kk = k.min(slice.len());
-                    let (vals, idxs) = heap_topk(slice, kk);
                     let base = (ci * chunk) as u32;
-                    vals.into_iter()
-                        .zip(idxs)
-                        .map(|(v, i)| (v.to_ordered(), base + i))
-                        .collect::<Vec<_>>()
+                    let mut entries = heap_select(slice, k.min(slice.len()));
+                    for e in &mut entries {
+                        e.1 += base;
+                    }
+                    entries
                 })
             })
             .collect();
@@ -118,7 +130,11 @@ pub fn parallel_topk<T: RadixKey>(input: &[T], k: usize, threads: usize) -> (Vec
     let mut all: Vec<Entry<T::Ordered>> = partials.into_iter().flatten().collect();
     all.sort_unstable();
     all.truncate(k);
-    unpack::<T>(all)
+    Ok(unpack::<T>(all))
+}
+
+fn check_k<T>(algorithm: &'static str, input: &[T], k: usize) -> Result<(), TopKError> {
+    TopKError::check_k(algorithm, input.len(), k, None).map_or(Ok(()), Err)
 }
 
 fn unpack<T: RadixKey>(entries: Vec<Entry<T::Ordered>>) -> (Vec<T>, Vec<u32>) {
@@ -164,7 +180,7 @@ mod tests {
         for dist in Distribution::benchmark_set() {
             let data = generate(dist, 10_000, 3);
             for k in [1usize, 7, 100, 9_999, 10_000] {
-                let (v, i) = heap_topk(&data, k);
+                let (v, i) = heap_topk(&data, k).unwrap();
                 verify_topk(&data, k, &v, &i).unwrap();
                 assert!(
                     v.windows(2).all(|w| w[0].to_ordered() <= w[1].to_ordered()),
@@ -179,9 +195,9 @@ mod tests {
         let data = generate(Distribution::Normal, 50_000, 9);
         for threads in [1usize, 2, 3, 8] {
             for k in [1usize, 64, 5000] {
-                let (pv, pi) = parallel_topk(&data, k, threads);
+                let (pv, pi) = parallel_topk(&data, k, threads).unwrap();
                 verify_topk(&data, k, &pv, &pi).unwrap();
-                let (sv, _) = heap_topk(&data, k);
+                let (sv, _) = heap_topk(&data, k).unwrap();
                 let a: Vec<u32> = pv.iter().map(|x| x.to_ordered()).collect();
                 let b: Vec<u32> = sv.iter().map(|x| x.to_ordered()).collect();
                 assert_eq!(a, b, "threads={threads} k={k}");
@@ -201,9 +217,9 @@ mod tests {
             1.0,
         ];
         for k in 1..=data.len() {
-            let (v, i) = heap_topk(&data, k);
+            let (v, i) = heap_topk(&data, k).unwrap();
             verify_topk(&data, k, &v, &i).unwrap();
-            let (v, i) = parallel_topk(&data, k, 3);
+            let (v, i) = parallel_topk(&data, k, 3).unwrap();
             verify_topk(&data, k, &v, &i).unwrap();
         }
     }
@@ -213,7 +229,7 @@ mod tests {
         let du: Vec<u64> = (0..5000u64)
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
             .collect();
-        let (v, idx) = heap_topk(&du, 33);
+        let (v, idx) = heap_topk(&du, 33).unwrap();
         let mut expect = du.clone();
         expect.sort_unstable();
         expect.truncate(33);
@@ -222,7 +238,7 @@ mod tests {
             assert_eq!(du[ii as usize], *vv);
         }
         let di: Vec<i32> = du.iter().map(|&x| x as i32).collect();
-        let (v, _) = parallel_topk(&di, 17, 4);
+        let (v, _) = parallel_topk(&di, 17, 4).unwrap();
         let mut expect = di.clone();
         expect.sort_unstable();
         expect.truncate(17);
@@ -235,9 +251,32 @@ mod tests {
         // come back global, not chunk-relative.
         let mut data = vec![10.0f32; 1000];
         data[997] = -5.0;
-        let (v, i) = parallel_topk(&data, 1, 4);
+        let (v, i) = parallel_topk(&data, 1, 4).unwrap();
         assert_eq!(v, vec![-5.0]);
         assert_eq!(i, vec![997]);
+    }
+
+    #[test]
+    fn invalid_k_is_a_typed_error_not_a_panic() {
+        let data = [3.0f32, 1.0, 2.0];
+        for k in [0usize, 4] {
+            for (algorithm, got) in [
+                ("heap_topk", heap_topk(&data, k)),
+                ("parallel_topk", parallel_topk(&data, k, 2)),
+            ] {
+                match got {
+                    Err(TopKError::InvalidK {
+                        algorithm: a,
+                        k: bad,
+                        n: 3,
+                        max_k: None,
+                    }) => assert_eq!((a, bad), (algorithm, k)),
+                    other => panic!("{algorithm} k={k}: {other:?}"),
+                }
+            }
+        }
+        assert!(heap_topk::<f32>(&[], 1).is_err());
+        assert!(parallel_topk::<f32>(&[], 1, 0).is_err());
     }
 
     proptest! {
@@ -250,9 +289,9 @@ mod tests {
             threads in 1usize..5,
         ) {
             let k = ((data.len() as f64 * kf) as usize).clamp(1, data.len());
-            let (v, i) = heap_topk(&data, k);
+            let (v, i) = heap_topk(&data, k).unwrap();
             prop_assert!(verify_topk(&data, k, &v, &i).is_ok());
-            let (v, i) = parallel_topk(&data, k, threads);
+            let (v, i) = parallel_topk(&data, k, threads).unwrap();
             prop_assert!(verify_topk(&data, k, &v, &i).is_ok());
         }
     }

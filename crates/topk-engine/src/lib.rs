@@ -63,7 +63,9 @@
 //! * When the retry budget or the device pool is exhausted, queries
 //!   degrade to the `topk-cpu` reference path (unless
 //!   [`EngineConfig::with_cpu_fallback`] disables it, in which case
-//!   they fail with a typed error).
+//!   they fail with a typed error). The same path answers a batch that
+//!   would otherwise wait out a breaker cooldown, when its predicted
+//!   CPU finish comes before the device's.
 //! * [`QueryResult::served`] records which rung of that ladder
 //!   produced the answer; [`DrainReport::chaos_digest`] renders the
 //!   whole drain as a deterministic text summary CI can diff across
@@ -459,8 +461,10 @@ pub enum Served {
         /// Attempts beyond the first before the answer landed.
         retries: u32,
     },
-    /// Served by the host-side `topk-cpu` reference path after the
-    /// retry budget or the device pool was exhausted.
+    /// Served by the host-side `topk-cpu` reference path: after the
+    /// retry budget or the device pool was exhausted, or because every
+    /// device start left waited on a breaker cooldown and the CPU
+    /// answer was predicted to land before the device's.
     CpuFallback {
         /// GPU attempts made before degrading.
         retries: u32,
@@ -1416,9 +1420,11 @@ impl TopKEngine {
     /// marked failed, and its queries rescheduled; every submitted
     /// query reaches exactly one terminal [`QueryResult`].
     ///
-    /// Each step picks the job that may start earliest, the device
-    /// that can start it soonest, the rung and budget of the attempt,
-    /// runs it under `catch_unwind`, and settles the outcome: answers
+    /// Each step picks the job that may start earliest and the device
+    /// that can start it soonest — or the CPU rung, when the pool is
+    /// exhausted or the CPU answers before a breaker cooldown ends —
+    /// then the rung and budget of the attempt, runs it under
+    /// `catch_unwind`, and settles the outcome: answers
     /// are delivered, a query's own fault is terminal, and an overdue
     /// attempt, a device error and a worker panic share one fault path
     /// (`DESIGN.md` §2).
@@ -1450,22 +1456,14 @@ impl TopKEngine {
         let selector = std::mem::replace(&mut self.selector, SelectK::static_prior());
 
         while let Some(mut job) = st.next_job() {
-            let slots = st.marks.iter().enumerate().map(|(d, m)| DeviceSlot {
-                failed: self.health[d].failed,
-                clock_us: self.gpus[d].elapsed_us() - m.t0,
-                quarantine_end_us: (self.health[d].quarantined_until_us - m.t0).max(0.0),
-            });
-            let Some((dev, start_at)) = pick_device(slots, job.not_before_us) else {
-                // Pool exhausted: every device failed. Degrade at the
-                // latest time the host heard from any device.
-                let now = st
-                    .host_seen
-                    .iter()
-                    .fold(job.not_before_us, |t, &s| t.max(s));
-                let step_seq = self.flight.recorded();
-                st.degrade(job, now, &self.config, &mut self.flight);
-                st.maybe_post_mortem(self, step_seq, &selector);
-                continue;
+            let (dev, start_at) = match self.route(&st, &job, &selector) {
+                Ok(pick) => (pick.dev, pick.start_us),
+                Err((now, cause)) => {
+                    let step_seq = self.flight.recorded();
+                    st.degrade(job, now, &cause, &self.config, &mut self.flight);
+                    st.maybe_post_mortem(self, step_seq, &selector);
+                    continue;
+                }
             };
             job.attempts += 1;
             job.first_device.get_or_insert(dev);
@@ -1524,6 +1522,37 @@ impl TopKEngine {
         self.selector = selector;
         self.record_drain(&report);
         report
+    }
+
+    /// Where `job` runs next: on the device that can start it soonest
+    /// ([`pick_device`]), or on the CPU rung from the returned instant,
+    /// for the returned cause — `cause=exhausted` when every device has
+    /// failed, `cause=cooldown` when a breaker cooldown is all that
+    /// keeps the job off a device and the CPU answer lands first
+    /// ([`cooldown_rung`]).
+    fn route(&self, st: &DrainState, job: &Job, selector: &SelectK) -> Result<Pick, (f64, String)> {
+        let slots = st.marks.iter().enumerate().map(|(d, m)| DeviceSlot {
+            failed: self.health[d].failed,
+            clock_us: self.gpus[d].elapsed_us() - m.t0,
+            quarantine_end_us: (self.health[d].quarantined_until_us - m.t0).max(0.0),
+        });
+        let Some(pick) = pick_device(slots, job.not_before_us) else {
+            // Pool exhausted: every device failed. Degrade at the
+            // latest time the host heard from any device.
+            let now = st
+                .host_seen
+                .iter()
+                .fold(job.not_before_us, |t, &s| t.max(s));
+            return Err((now, "cause=exhausted".into()));
+        };
+        let spec = self.gpus[pick.dev].spec();
+        match cooldown_rung(&job.batch, spec, selector, pick, self.config.cpu_fallback) {
+            Some(wait_us) => {
+                let cause = format!("cause=cooldown wait_avoided_us={wait_us:.1}");
+                Err((pick.ready_us, cause))
+            }
+            None => Ok(pick),
+        }
     }
 
     /// A device's busy time over the sum of drain makespans (0 before
@@ -1864,7 +1893,7 @@ impl DrainState {
         flight: &mut FlightRecorder,
     ) {
         let Some(backoff) = config.retry.backoff_after(job.attempts) else {
-            return self.degrade(job, now_us, config, flight);
+            return self.degrade(job, now_us, "cause=exhausted", config, flight);
         };
         job.not_before_us = now_us + backoff;
         let (expired, live) =
@@ -1904,43 +1933,47 @@ impl DrainState {
     }
 
     /// Last rung of the ladder: serve every query of `job` on the CPU
-    /// reference path (when enabled and the shape allows), otherwise
+    /// reference path from `now_us` (when enabled and the shape
+    /// allows), its `fallback` events saying why (`cause`), otherwise
     /// terminate it with the job's last device error or
     /// [`TopKError::PoolExhausted`].
     fn degrade(
         &mut self,
         job: Job,
         now_us: f64,
+        cause: &str,
         config: &EngineConfig,
         flight: &mut FlightRecorder,
     ) {
         let device = job.first_device.unwrap_or(0);
         for q in &job.batch.queries {
-            let (latency_us, answer) = if !config.cpu_fallback {
-                let err = job.last_error.clone().unwrap_or(TopKError::PoolExhausted {
-                    attempts: job.attempts,
-                });
-                (now_us, Err(err))
-            } else if let Some(err) = TopKError::check_k("cpu-fallback", q.data.len(), q.k, None) {
-                (now_us, Err(err))
+            let cpu = if config.cpu_fallback {
+                topk_cpu::heap_topk(&q.data, q.k)
             } else {
-                let end = now_us + cpu_select_us(q.data.len());
-                match q.deadline_us {
-                    Some(dl) if end > dl as f64 => {
-                        (end, Err(TopKError::DeadlineExceeded { deadline_us: dl }))
-                    }
-                    _ => {
-                        let (values, indices) = topk_cpu::heap_topk(&q.data, q.k);
-                        let served = Served::CpuFallback {
-                            retries: job.attempts,
-                        };
-                        // The CPU reference path is exact.
-                        let out = QueryOutput {
-                            values,
-                            indices,
-                            k: q.k,
-                        };
-                        (end, Ok((served, 1.0, out)))
+                Err(job.last_error.clone().unwrap_or(TopKError::PoolExhausted {
+                    attempts: job.attempts,
+                }))
+            };
+            let (latency_us, answer) = match cpu {
+                Err(err) => (now_us, Err(err)),
+                Ok((values, indices)) => {
+                    let end = now_us + cpu_select_us(q.data.len());
+                    match q.deadline_us {
+                        Some(dl) if end > dl as f64 => {
+                            (end, Err(TopKError::DeadlineExceeded { deadline_us: dl }))
+                        }
+                        _ => {
+                            let served = Served::CpuFallback {
+                                retries: job.attempts,
+                            };
+                            // The CPU reference path is exact.
+                            let out = QueryOutput {
+                                values,
+                                indices,
+                                k: q.k,
+                            };
+                            (end, Ok((served, 1.0, out)))
+                        }
                     }
                 }
             };
@@ -1952,7 +1985,7 @@ impl DrainState {
                 Err(e) => ("query_failed", format!("id={} kind={}", q.id, e.kind())),
                 Ok(_) => (
                     "fallback",
-                    format!("id={} cpu attempts={}", q.id, job.attempts),
+                    format!("id={} cpu attempts={} {cause}", q.id, job.attempts),
                 ),
             };
             flight.record(kind, Some(device), Some(q.span), latency_us, detail);
@@ -2261,26 +2294,70 @@ struct DeviceSlot {
     quarantine_end_us: f64,
 }
 
+/// Where and when a job can start on the device pool, drain-relative
+/// µs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pick {
+    /// The device that can start the job soonest.
+    dev: usize,
+    /// When it can.
+    start_us: f64,
+    /// When the job could start if no breaker were open: the soonest
+    /// any non-failed device is free and the job runnable. Below
+    /// `start_us` only when a cooldown is what the job waits for.
+    ready_us: f64,
+}
+
 /// The non-failed device that can start a job runnable from
-/// `not_before_us` soonest, with that start time; the lowest index wins
-/// ties. A quarantined device competes with its quarantine end: being
-/// scheduled after the cooldown *is* the half-open re-probe. `None`
-/// when every device has failed.
-fn pick_device(
-    slots: impl IntoIterator<Item = DeviceSlot>,
-    not_before_us: f64,
-) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
+/// `not_before_us` soonest, with that start time and the job's ready
+/// time ([`Pick`]); the lowest index wins ties. A quarantined device
+/// competes with its quarantine end: being scheduled after the cooldown
+/// *is* the half-open re-probe. `None` when every device has failed.
+fn pick_device(slots: impl IntoIterator<Item = DeviceSlot>, not_before_us: f64) -> Option<Pick> {
+    let mut best: Option<Pick> = None;
     for (dev, slot) in slots.into_iter().enumerate() {
         if slot.failed {
             continue;
         }
-        let start = slot.clock_us.max(not_before_us).max(slot.quarantine_end_us);
-        if best.is_none_or(|(_, s)| start < s) {
-            best = Some((dev, start));
-        }
+        let ready_us = slot.clock_us.max(not_before_us);
+        let start_us = ready_us.max(slot.quarantine_end_us);
+        let ready_us = best.map_or(ready_us, |b| b.ready_us.min(ready_us));
+        best = match best {
+            Some(b) if b.start_us <= start_us => Some(Pick { ready_us, ..b }),
+            _ => Some(Pick {
+                dev,
+                start_us,
+                ready_us,
+            }),
+        };
     }
     best
+}
+
+/// Whether `batch`, picked to start on a device of `spec` at
+/// `pick.start_us`, should instead run on the CPU rung from
+/// `pick.ready_us`; `Some` carries the wait that avoids. Only when the
+/// CPU rung is enabled and the job waits for a breaker cooldown
+/// (`start_us > ready_us`) — a device that is merely busy never sends
+/// work to the CPU. Then the two predicted finishes compete: the device
+/// at `start_us` plus the attempt's exact budget
+/// ([`attempt_budget_us`]), the CPU at `ready_us` plus one row's
+/// [`cpu_select_us`] (rows run independently, as
+/// [`DrainState::degrade`] serves them, and all have `batch.n`
+/// elements). The CPU must finish strictly first.
+fn cooldown_rung(
+    batch: &Batch,
+    spec: &DeviceSpec,
+    selector: &SelectK,
+    pick: Pick,
+    cpu_fallback: bool,
+) -> Option<f64> {
+    if !cpu_fallback || pick.start_us <= pick.ready_us {
+        return None;
+    }
+    let device_end = pick.start_us + attempt_budget_us(batch, spec, selector, None);
+    let cpu_end = pick.ready_us + cpu_select_us(batch.n);
+    (cpu_end < device_end).then_some(pick.start_us - pick.ready_us)
 }
 
 /// What one batch attempt returned: answers, a typed error, or a

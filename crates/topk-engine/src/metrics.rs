@@ -172,7 +172,7 @@ impl EngineMetrics {
             ),
             cpu_fallbacks: registry.counter(
                 "topk_engine_cpu_fallbacks_total",
-                "Queries served by the topk-cpu reference path after pool/retry exhaustion",
+                "Queries served by the topk-cpu reference path, after pool/retry exhaustion or instead of a slower breaker cooldown wait",
             ),
             approx_two_stage: registry.counter_with(
                 "topk_engine_approx_served_total",

@@ -558,6 +558,12 @@ fn pool_exhaustion_degrades_to_cpu_fallback() {
     let backoff = RetryPolicy::default().backoff_us;
     assert_eq!(r.latency_us, (at + backoff) + cpu_select_us(4096));
     assert!(r.latency_us < hung.end_us, "answered before the watchdog");
+    let fallback = engine
+        .flight_recorder()
+        .events()
+        .find(|e| e.kind == "fallback")
+        .expect("a fallback event");
+    assert!(fallback.detail.ends_with("cause=exhausted"), "{fallback:?}");
 }
 
 #[test]
@@ -1086,7 +1092,7 @@ fn each_batch_is_one_upload_one_sync_and_a_packed_readback() {
             assert_eq!(gpu.mem_allocated(), 0, "{case} leaked");
             assert_eq!(outs.len(), b, "{case}");
             for (out, data) in outs.iter().zip(&datas) {
-                let (want, _) = topk_cpu::heap_topk(data, k);
+                let (want, _) = topk_cpu::heap_topk(data, k).unwrap();
                 assert_eq!(out.k, k, "{case}");
                 assert_eq!(sorted_bits(&out.values), sorted_bits(&want), "{case}");
                 verify_topk(data, k, &out.values, &out.indices)
@@ -1271,6 +1277,14 @@ fn slot(failed: bool, clock_us: f64, quarantine_end_us: f64) -> DeviceSlot {
     }
 }
 
+fn pick(dev: usize, start_us: f64, ready_us: f64) -> Pick {
+    Pick {
+        dev,
+        start_us,
+        ready_us,
+    }
+}
+
 #[test]
 fn pick_device_skips_failed_devices() {
     // Device 0 is idle but retired; device 2 frees first of the rest.
@@ -1279,7 +1293,7 @@ fn pick_device_skips_failed_devices() {
         slot(false, 30.0, 0.0),
         slot(false, 20.0, 0.0),
     ];
-    assert_eq!(pick_device(slots, 0.0), Some((2, 20.0)));
+    assert_eq!(pick_device(slots, 0.0), Some(pick(2, 20.0, 20.0)));
     assert_eq!(pick_device([slot(true, 0.0, 0.0); 3], 0.0), None);
 }
 
@@ -1287,14 +1301,14 @@ fn pick_device_skips_failed_devices() {
 fn pick_device_lets_a_quarantined_device_compete_at_its_cooldown_end() {
     // Device 0 is idle but quarantined until 50; device 1 frees at 80.
     let slots = [slot(false, 10.0, 50.0), slot(false, 80.0, 0.0)];
-    assert_eq!(pick_device(slots, 0.0), Some((0, 50.0)));
+    assert_eq!(pick_device(slots, 0.0), Some(pick(0, 50.0, 10.0)));
     // A cooldown that outlasts the busy sibling loses to it.
     let slots = [slot(false, 10.0, 90.0), slot(false, 80.0, 0.0)];
-    assert_eq!(pick_device(slots, 0.0), Some((1, 80.0)));
+    assert_eq!(pick_device(slots, 0.0), Some(pick(1, 80.0, 10.0)));
     // The job's backoff outlasts both.
     assert_eq!(
         pick_device([slot(false, 10.0, 50.0)], 70.0),
-        Some((0, 70.0))
+        Some(pick(0, 70.0, 70.0))
     );
 }
 
@@ -1306,10 +1320,209 @@ fn pick_device_breaks_ties_to_the_lowest_index() {
         slot(false, 10.0, 25.0),
         slot(false, 25.0, 0.0),
     ];
-    assert_eq!(pick_device(slots, 0.0), Some((1, 25.0)));
+    assert_eq!(pick_device(slots, 0.0), Some(pick(1, 25.0, 10.0)));
     // Every device waits for the job's not-before time.
     let slots = [slot(false, 5.0, 0.0), slot(false, 0.0, 0.0)];
-    assert_eq!(pick_device(slots, 100.0), Some((0, 100.0)));
+    assert_eq!(pick_device(slots, 100.0), Some(pick(0, 100.0, 100.0)));
+}
+
+#[test]
+fn pick_device_ready_time_ignores_breakers_but_not_failures() {
+    // Without an open breaker the job is ready exactly when it starts.
+    let slots = [slot(false, 40.0, 0.0), slot(false, 30.0, 0.0)];
+    assert_eq!(pick_device(slots, 0.0), Some(pick(1, 30.0, 30.0)));
+    // Both devices quarantined: the job starts at the sooner cooldown
+    // end, but is ready when the idler device's clock is.
+    let slots = [slot(false, 300.0, 5_300.0), slot(false, 200.0, 5_600.0)];
+    assert_eq!(pick_device(slots, 0.0), Some(pick(0, 5_300.0, 200.0)));
+    // …or at its own not-before time, when that is later.
+    assert_eq!(pick_device(slots, 250.0), Some(pick(0, 5_300.0, 250.0)));
+    // A failed device's clock is no ready time: the pool has only the
+    // quarantined device left.
+    let slots = [slot(true, 0.0, 0.0), slot(false, 90.0, 5_000.0)];
+    assert_eq!(pick_device(slots, 0.0), Some(pick(1, 5_000.0, 90.0)));
+    let slots = [slot(false, 90.0, 5_000.0), slot(true, 0.0, 0.0)];
+    assert_eq!(pick_device(slots, 0.0), Some(pick(0, 5_000.0, 90.0)));
+    // A quarantined device that is also the busier one: the healthy
+    // sibling sets both times.
+    let slots = [slot(false, 700.0, 900.0), slot(false, 100.0, 0.0)];
+    assert_eq!(pick_device(slots, 0.0), Some(pick(1, 100.0, 100.0)));
+}
+
+/// One `n`-element query, as a coalesced batch.
+fn one_row(n: usize) -> Batch {
+    batch_of(&[generate(Distribution::Uniform, n, 700)], 64)
+}
+
+#[test]
+fn a_cooldown_wait_loses_to_a_faster_cpu_answer() {
+    let (spec, selector) = (DeviceSpec::a100(), SelectK::default());
+    let batch = one_row(4096);
+    // Every device is quarantined until 5,000 µs; the job was ready at
+    // 100 µs and the CPU answers 4,096 elements in ~28 µs.
+    let wait = cooldown_rung(&batch, &spec, &selector, pick(0, 5_000.0, 100.0), true);
+    assert_eq!(wait, Some(4_900.0));
+    // The device's own budget counts too: a cooldown ending before
+    // the CPU answer still loses when the attempt would finish after
+    // it.
+    let budget = attempt_budget_us(&batch, &spec, &selector, None);
+    let cpu = cpu_select_us(4096);
+    let start_us = 100.0 + cpu - budget / 2.0;
+    assert!(start_us > 100.0, "budget {budget} µs vs CPU {cpu} µs");
+    let p = pick(0, start_us, 100.0);
+    assert_eq!(
+        cooldown_rung(&batch, &spec, &selector, p, true),
+        Some(start_us - 100.0)
+    );
+    // Rows answer independently, as `degrade` serves them: three rows
+    // land when one does, before a device that would finish after one
+    // row's CPU time but before three.
+    let rows = batch_of(&vec![generate(Distribution::Uniform, 4096, 701); 3], 64);
+    let budget = attempt_budget_us(&rows, &spec, &selector, None);
+    let start_us = 100.0 + 2.0 * cpu - budget;
+    assert!(start_us > 100.0, "budget {budget} µs vs CPU {cpu} µs");
+    let p = pick(0, start_us, 100.0);
+    assert_eq!(
+        cooldown_rung(&rows, &spec, &selector, p, true),
+        Some(start_us - 100.0)
+    );
+}
+
+#[test]
+fn a_short_cooldown_beats_a_slow_cpu_answer() {
+    let (spec, selector) = (DeviceSpec::a100(), SelectK::default());
+    // 2^20 elements take the CPU ~2.1 ms; a 10 µs cooldown plus the
+    // device budget is far sooner.
+    let batch = one_row(1 << 20);
+    let budget = attempt_budget_us(&batch, &spec, &selector, None);
+    let cpu = cpu_select_us(1 << 20);
+    assert!(10.0 + budget < cpu, "budget {budget} µs vs CPU {cpu} µs");
+    let p = pick(0, 110.0, 100.0);
+    assert_eq!(cooldown_rung(&batch, &spec, &selector, p, true), None);
+    // The same row behind a cooldown longer than the CPU's answer
+    // goes to the CPU.
+    let p = pick(0, 5_000.0, 100.0);
+    assert_eq!(
+        cooldown_rung(&batch, &spec, &selector, p, true),
+        Some(4_900.0)
+    );
+}
+
+#[test]
+fn a_busy_healthy_device_never_yields_the_cpu() {
+    let (spec, selector) = (DeviceSpec::a100(), SelectK::default());
+    let batch = one_row(4096);
+    // The device is busy for 10 ms, far longer than the CPU answer,
+    // but no breaker holds the job back: it waits.
+    for start_us in [0.0, 10_000.0] {
+        let p = pick(1, start_us, start_us);
+        assert_eq!(cooldown_rung(&batch, &spec, &selector, p, true), None);
+    }
+}
+
+#[test]
+fn a_disabled_cpu_rung_always_waits_out_the_cooldown() {
+    let (spec, selector) = (DeviceSpec::a100(), SelectK::default());
+    let batch = one_row(4096);
+    let p = pick(0, 50_000.0, 0.0);
+    assert_eq!(cooldown_rung(&batch, &spec, &selector, p, false), None);
+    assert!(cooldown_rung(&batch, &spec, &selector, p, true).is_some());
+}
+
+/// Drain six single-query batches on a two-device pool whose first
+/// three launches on each device fail, so both breakers open with a
+/// 50 ms cooldown before any batch is answered.
+fn both_quarantined_drain(cpu_fallback: bool) -> (TopKEngine, DrainReport, Vec<Vec<f32>>) {
+    let mut plan = FaultPlan::seeded(47);
+    for device in 0..2 {
+        for nth in 0..3 {
+            plan = plan.with_scripted(ScriptedFault {
+                device,
+                kind: FaultKind::LaunchFail,
+                nth,
+            });
+        }
+    }
+    let cfg = EngineConfig::a100_pool(2)
+        .with_window(1)
+        .with_faults(plan)
+        .with_breaker(BreakerConfig {
+            threshold: 3,
+            cooldown_us: COOLDOWN_US,
+        })
+        .with_cpu_fallback(cpu_fallback);
+    let mut engine = TopKEngine::new(cfg);
+    let datas: Vec<Vec<f32>> = (0..6)
+        .map(|q| generate(Distribution::Uniform, 4096, 800 + q))
+        .collect();
+    for d in &datas {
+        engine.submit(d.clone(), 64).unwrap();
+    }
+    let report = engine.drain();
+    assert_eq!(report.quarantines, 2, "both breakers open");
+    assert_eq!(report.results.len(), datas.len());
+    for (r, data) in report.results.iter().zip(&datas) {
+        let out = r
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("q{}: {e}", r.id));
+        verify_topk(data, 64, &out.values, &out.indices).unwrap();
+    }
+    (engine, report, datas)
+}
+
+const COOLDOWN_US: f64 = 50_000.0;
+
+#[test]
+fn quarantined_pool_answers_on_the_cpu_before_the_cooldown_ends() {
+    let (engine, report, _) = both_quarantined_drain(true);
+    for r in &report.results {
+        assert_eq!(r.served, Served::CpuFallback { retries: 1 }, "q{}", r.id);
+        assert!(
+            r.latency_us < COOLDOWN_US / 10.0,
+            "q{} answered at {} µs",
+            r.id,
+            r.latency_us
+        );
+    }
+    assert_eq!(report.cpu_fallbacks, 6);
+    // No device ran anything after its breaker opened.
+    for d in &report.devices {
+        assert_eq!(d.batches.len(), 3, "d{}", d.device);
+    }
+    let causes: Vec<String> = engine
+        .flight_recorder()
+        .events()
+        .filter(|e| e.kind == "fallback")
+        .map(|e| e.detail.clone())
+        .collect();
+    assert_eq!(causes.len(), 6, "{causes:?}");
+    assert!(
+        causes
+            .iter()
+            .all(|d| d.contains("cause=cooldown wait_avoided_us=")),
+        "{causes:?}"
+    );
+}
+
+#[test]
+fn quarantined_pool_without_cpu_rung_waits_for_a_gpu() {
+    let (_, report, _) = both_quarantined_drain(false);
+    for r in &report.results {
+        assert!(
+            matches!(r.served, Served::Gpu { .. } | Served::Failover { .. }),
+            "q{}: {:?}",
+            r.id,
+            r.served
+        );
+        assert!(
+            r.latency_us > COOLDOWN_US,
+            "q{} at {} µs",
+            r.id,
+            r.latency_us
+        );
+    }
+    assert_eq!(report.cpu_fallbacks, 0);
 }
 
 #[test]

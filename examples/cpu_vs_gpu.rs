@@ -23,12 +23,12 @@ fn main() {
 
     // --- CPU, measured on the actual host clock -------------------
     let t = Instant::now();
-    let (hv, hi) = heap_topk(&data, k);
+    let (hv, hi) = heap_topk(&data, k).expect("k <= n");
     let t_heap = t.elapsed().as_secs_f64() * 1e6;
     verify_topk(&data, k, &hv, &hi).unwrap();
 
     let t = Instant::now();
-    let (pv, pi) = parallel_topk(&data, k, 0);
+    let (pv, pi) = parallel_topk(&data, k, 0).expect("k <= n");
     let t_par = t.elapsed().as_secs_f64() * 1e6;
     verify_topk(&data, k, &pv, &pi).unwrap();
 
